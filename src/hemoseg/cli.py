@@ -25,18 +25,18 @@ from .config import (
     ConfigFileError,
     apply_overrides,
     cascade_config_from,
-    get_int_tuple,
+    infer_stride_from,
     load_settings,
-    model_config_from,
     phantom_spec_from,
     train_config_from,
 )
 from .inference import timed_predict
 from .losses import confusion, metrics
-from .model import CascadeConfig, ConfigError, build_unet, toy_cascade_config
-from .phantoms import PhantomError, PhantomSpec, case_paths, generate_dataset, list_cases
+from .model import CascadeConfig, ConfigError, build_unet
+from .phantoms import PhantomError, case_paths, generate_dataset, list_cases
 from .training import (
     CheckpointError,
+    DatasetError,
     TrainingAbort,
     load_stage_checkpoint,
     train_cascade,
@@ -127,17 +127,17 @@ def cmd_train(args) -> int:
     settings = _settings(args)
     _, dataset = _load_dataset(args.data)
     out = Path(args.out)
-    overrides = {"stage": args.stage, "checkpoint_path": str(out), "log_path": args.log}
+    overrides = {"checkpoint_path": str(out), "log_path": args.log}
     if args.seed is not None:
         overrides["seed"] = args.seed
     cfg = train_config_from(settings, **overrides)
+    cascade_cfg = cascade_config_from(settings)
     if args.stage == "1":
-        model = build_unet(model_config_from(settings, "model", toy_cascade_config().stage1), seed=cfg.seed)
-        paths = [train_stage(model, dataset, cfg)[0]]
+        paths = [train_stage(build_unet(cascade_cfg.stage1, seed=cfg.seed), dataset, cfg)[0]]
     elif args.stage == "2":
-        paths = [train_stage2(dataset, cascade_config_from(settings), cfg)[0]]
+        paths = [train_stage2(build_unet(cascade_cfg.stage2, seed=cfg.seed), dataset, cascade_cfg, cfg)[0]]
     else:
-        paths = list(train_cascade(dataset, cascade_config_from(settings), cfg))
+        paths = list(train_cascade(dataset, cascade_cfg, cfg))
     write_manifest(
         out.with_name(out.stem + "_manifest.json"),
         "train",
@@ -171,8 +171,10 @@ def cmd_infer(args) -> int:
     image = read_rvol(args.input)
     if isinstance(image, SegMask):
         raise UsageError(f"{args.input}: --input must be an image volume, not a mask")
-    stride = get_int_tuple(settings, "infer.stride", None)
+    stride = infer_stride_from(settings)
     stage1, _, _ = load_stage_checkpoint(ckpts[0])
+    if stride is not None and any(s > w for s, w in zip(stride, stage1.config.input_patch_shape)):
+        raise UsageError(f"infer.stride {stride} exceeds the stage-1 window {stage1.config.input_patch_shape}")
     if len(ckpts) == 2:
         stage2, _, meta2 = load_stage_checkpoint(ckpts[1])
         cascade_cfg = _cascade_from_checkpoints(stage1, stage2, meta2)
@@ -400,7 +402,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (UsageError, ConfigFileError, ConfigError, FileNotFoundError, NotADirectoryError) as exc:
+    except (UsageError, ConfigFileError, ConfigError, DatasetError, FileNotFoundError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (RvolError, CheckpointError, json.JSONDecodeError) as exc:

@@ -2,26 +2,19 @@
 
 File grammar: one ``key = value`` pair per line, ``#`` starts a comment,
 blank lines ignored, later assignments win.  Values are plain strings until
-a typed getter parses them; tuples use commas (``patch = 8,32,32``) and a
-per-level list of factor triples uses semicolons between triples
-(``factors = 1,2,2; 2,2,2; 2,2,2``).
+a config builder parses them; tuples use commas (``model.patch = 8,32,32``)
+and a per-level list of factor triples uses semicolons between triples
+(``model.factors = 1,2,2; 2,2,2; 2,2,2``).
 
-Recognized keys (all optional; defaults reproduce the toy setup):
-
-    model.levels / model.channels / model.factors / model.patch /
-    model.in_channels / model.out_channels / model.deep_supervision
-    stage2.levels / stage2.channels / ... (same scheme for the refiner)
-    cascade.roi_margin            three fractions, e.g. 0.25,0.25,0.25
-    train.epochs / train.steps_per_epoch / train.batch_size / train.patch /
-    train.seed / train.lr / train.eta_min / train.t_0 / train.t_mult /
-    train.weight_decay / train.jitter
-    phantom.shape / phantom.spacing / phantom.lesion_count /
-    phantom.semi_axes_mm / phantom.lesion_hu / phantom.background_hu /
-    phantom.noise_sigma_hu
-    infer.stride                  three ints, sliding-window step
+``KEYS`` is the one table of recognized keys.  All are optional and the
+defaults reproduce the toy setup.  An unknown key, whether it comes from a
+file or from ``--set``, is an error with a closest-match hint.  Stage 1
+trains on crops of its own input patch shape, ``model.patch``.
 """
 from __future__ import annotations
 
+import difflib
+from dataclasses import replace
 from pathlib import Path
 
 from .model import CascadeConfig, UNet3DConfig, toy_cascade_config
@@ -31,6 +24,73 @@ from .training import TrainConfig
 
 class ConfigFileError(ValueError):
     pass
+
+
+def _values(convert, count=None):
+    """Parser of comma-separated values; exactly ``count`` of them unless it is None."""
+
+    def parse(s: str) -> tuple:
+        values = tuple(convert(v) for v in s.split(","))
+        if count is not None and len(values) != count:
+            raise ValueError(f"need {count} comma-separated values")
+        return values
+
+    return parse
+
+
+def _factors(s: str) -> tuple[tuple[int, ...], ...]:
+    return tuple(_values(int)(triple) for triple in s.split(";") if triple.strip())
+
+
+def _stride(s: str) -> tuple[int, ...]:
+    stride = _values(int, 3)(s)
+    if min(stride) < 1:
+        raise ValueError("stride must be positive")
+    return stride
+
+
+_NETWORK_KEYS = {
+    "levels": ("levels", int),
+    "channels": ("channels_per_level", _values(int)),
+    "factors": ("downsample_factors_per_level", _factors),
+    "patch": ("input_patch_shape", _values(int)),
+    "in_channels": ("in_channels", int),
+    "out_channels": ("out_channels", int),
+    "deep_supervision": ("deep_supervision_levels", lambda s: frozenset(_values(int)(s))),
+}
+
+# key -> (field it sets on its group's config object, value parser)
+KEYS = {
+    **{f"{net}.{key}": entry for net in ("model", "stage2") for key, entry in _NETWORK_KEYS.items()},
+    "cascade.roi_margin": ("roi_margin_fraction", _values(float, 3)),
+    "train.epochs": ("epochs", int),
+    "train.steps_per_epoch": ("steps_per_epoch", int),
+    "train.batch_size": ("batch_size", int),
+    "train.seed": ("seed", int),
+    "train.lr": ("lr", float),
+    "train.eta_min": ("eta_min", float),
+    "train.t_0": ("t_0", int),
+    "train.t_mult": ("t_mult", int),
+    "train.weight_decay": ("weight_decay", float),
+    "train.jitter": ("jitter_fraction", float),
+    "phantom.shape": ("shape", _values(int, 3)),
+    "phantom.spacing": ("spacing_mm", _values(float, 3)),
+    "phantom.lesion_count": ("lesion_count_range", _values(int, 2)),
+    "phantom.semi_axes_mm": ("semi_axes_mm_range", _values(float, 2)),
+    "phantom.lesion_hu": ("lesion_hu_range", _values(float, 2)),
+    "phantom.background_hu": ("background_hu", float),
+    "phantom.noise_sigma_hu": ("noise_sigma_hu", float),
+    "infer.stride": ("stride", _stride),
+}
+
+
+def _check_key(key: str, where: str) -> None:
+    if key in KEYS:
+        return
+    leaf = key.rsplit(".", 1)[-1]
+    hints = [k for k in KEYS if k.rsplit(".", 1)[-1] == leaf] or difflib.get_close_matches(key, KEYS, n=2)
+    hint = f"; did you mean {' or '.join(hints)}?" if hints else ""
+    raise ConfigFileError(f"{where}: unknown key {key!r}{hint}")
 
 
 def parse_settings(text: str, source: str = "<string>") -> dict[str, str]:
@@ -45,6 +105,7 @@ def parse_settings(text: str, source: str = "<string>") -> dict[str, str]:
         key = key.strip()
         if not key:
             raise ConfigFileError(f"{source}:{lineno}: empty key")
+        _check_key(key, f"{source}:{lineno}")
         settings[key] = value.strip()
     return settings
 
@@ -60,111 +121,62 @@ def apply_overrides(settings: dict[str, str], overrides) -> dict[str, str]:
     for item in overrides or []:
         if "=" not in item:
             raise ConfigFileError(f"override {item!r} must look like key=value")
-        key, value = item.split("=", 1)
-        merged[key.strip()] = value.strip()
+        key, value = (part.strip() for part in item.split("=", 1))
+        _check_key(key, f"override {item!r}")
+        merged[key] = value
     return merged
 
 
-def _get(settings, key, default, convert):
-    raw = settings.get(key)
-    if raw is None:
-        return default
+def _fields(settings: dict[str, str], group: str) -> dict:
+    """Parsed values of the ``<group>.*`` keys present in settings, by field name."""
+    fields = {}
+    for key, (field, parse) in KEYS.items():
+        if key.split(".", 1)[0] == group and key in settings:
+            try:
+                fields[field] = parse(settings[key])
+            except (ValueError, TypeError) as exc:
+                raise ConfigFileError(f"bad value for {key}: {settings[key]!r} ({exc})") from exc
+    return fields
+
+
+def _validated(cfg):
     try:
-        return convert(raw)
-    except (ValueError, TypeError) as exc:
-        raise ConfigFileError(f"bad value for {key}: {raw!r} ({exc})") from exc
-
-
-def get_int(settings, key, default):
-    return _get(settings, key, default, int)
-
-
-def get_float(settings, key, default):
-    return _get(settings, key, default, float)
-
-
-def get_str(settings, key, default):
-    return _get(settings, key, default, str)
-
-
-def get_int_tuple(settings, key, default):
-    return _get(settings, key, default, lambda s: tuple(int(v) for v in s.split(",")))
-
-
-def get_float_tuple(settings, key, default):
-    return _get(settings, key, default, lambda s: tuple(float(v) for v in s.split(",")))
-
-
-def get_factor_list(settings, key, default):
-    def convert(s):
-        return tuple(tuple(int(v) for v in triple.split(",")) for triple in s.split(";") if triple.strip())
-
-    return _get(settings, key, default, convert)
+        cfg.validate()
+    except ValueError as exc:
+        raise ConfigFileError(str(exc)) from exc
+    return cfg
 
 
 def model_config_from(settings: dict[str, str], prefix: str, default: UNet3DConfig) -> UNet3DConfig:
     """One network's architecture from ``<prefix>.*`` keys over a default."""
-    p = prefix + "."
-    cfg = UNet3DConfig(
-        levels=get_int(settings, p + "levels", default.levels),
-        channels_per_level=get_int_tuple(settings, p + "channels", default.channels_per_level),
-        downsample_factors_per_level=get_factor_list(settings, p + "factors", default.downsample_factors_per_level),
-        input_patch_shape=get_int_tuple(settings, p + "patch", default.input_patch_shape),
-        in_channels=get_int(settings, p + "in_channels", default.in_channels),
-        out_channels=get_int(settings, p + "out_channels", default.out_channels),
-        deep_supervision_levels=frozenset(
-            get_int_tuple(settings, p + "deep_supervision", tuple(default.deep_supervision_levels))
-        ),
-    )
-    cfg.validate()
-    return cfg
+    return _validated(replace(default, **_fields(settings, prefix)))
 
 
 def cascade_config_from(settings: dict[str, str]) -> CascadeConfig:
     base = toy_cascade_config()
     stage2 = model_config_from(settings, "stage2", base.stage2)
-    cfg = CascadeConfig(
-        stage1=model_config_from(settings, "model", base.stage1),
-        stage2=stage2,
-        stage2_input_shape=tuple(stage2.input_patch_shape),
-        roi_margin_fraction=get_float_tuple(settings, "cascade.roi_margin", base.roi_margin_fraction),
+    return _validated(
+        replace(
+            base,
+            stage1=model_config_from(settings, "model", base.stage1),
+            stage2=stage2,
+            stage2_input_shape=tuple(stage2.input_patch_shape),
+            **_fields(settings, "cascade"),
+        )
     )
-    cfg.validate()
-    return cfg
 
 
 def train_config_from(settings: dict[str, str], **overrides) -> TrainConfig:
-    base = TrainConfig()
-    cfg = TrainConfig(
-        epochs=get_int(settings, "train.epochs", base.epochs),
-        steps_per_epoch=get_int(settings, "train.steps_per_epoch", base.steps_per_epoch),
-        batch_size=get_int(settings, "train.batch_size", base.batch_size),
-        patch_shape=get_int_tuple(settings, "train.patch", base.patch_shape),
-        seed=get_int(settings, "train.seed", base.seed),
-        lr=get_float(settings, "train.lr", base.lr),
-        eta_min=get_float(settings, "train.eta_min", base.eta_min),
-        t_0=get_int(settings, "train.t_0", base.t_0),
-        t_mult=get_int(settings, "train.t_mult", base.t_mult),
-        weight_decay=get_float(settings, "train.weight_decay", base.weight_decay),
-        jitter_fraction=get_float(settings, "train.jitter", base.jitter_fraction),
-    )
-    for key, value in overrides.items():
-        setattr(cfg, key, value)
-    cfg.validate()
-    return cfg
+    return _validated(replace(TrainConfig(**_fields(settings, "train")), **overrides))
 
 
 def phantom_spec_from(settings: dict[str, str], seed: int | None = None) -> PhantomSpec:
-    base = PhantomSpec()
-    spec = PhantomSpec(
-        shape=get_int_tuple(settings, "phantom.shape", base.shape),
-        spacing_mm=get_float_tuple(settings, "phantom.spacing", base.spacing_mm),
-        lesion_count_range=get_int_tuple(settings, "phantom.lesion_count", base.lesion_count_range),
-        semi_axes_mm_range=get_float_tuple(settings, "phantom.semi_axes_mm", base.semi_axes_mm_range),
-        lesion_hu_range=get_float_tuple(settings, "phantom.lesion_hu", base.lesion_hu_range),
-        background_hu=get_float(settings, "phantom.background_hu", base.background_hu),
-        noise_sigma_hu=get_float(settings, "phantom.noise_sigma_hu", base.noise_sigma_hu),
-        seed=base.seed if seed is None else int(seed),
-    )
-    spec.validate()
-    return spec
+    fields = _fields(settings, "phantom")
+    if seed is not None:
+        fields["seed"] = int(seed)
+    return _validated(PhantomSpec(**fields))
+
+
+def infer_stride_from(settings: dict[str, str]) -> tuple[int, int, int] | None:
+    """The ``infer.stride`` setting, or None for the default of half the window."""
+    return _fields(settings, "infer").get("stride")

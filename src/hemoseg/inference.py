@@ -90,6 +90,16 @@ def recompose_average(patch_probs, grid: PatchGrid, num_channels: int) -> np.nda
     return mean
 
 
+def _window_grid(volume_shape, window, stride=None) -> PatchGrid:
+    """The sliding-window grid over a volume padded up to the window; the
+    stride defaults to half the window (at least 1) per axis."""
+    window = tuple(window)
+    if stride is None:
+        stride = tuple(max(1, w // 2) for w in window)
+    padded = tuple(max(n, w) for n, w in zip(volume_shape, window))
+    return decompose(padded, window, stride)
+
+
 def sliding_window_predict(model, image: VolumeImage, stride=None) -> np.ndarray:
     """Whole-volume class probabilities [C,D,H,W] from overlapping patches.
 
@@ -99,12 +109,10 @@ def sliding_window_predict(model, image: VolumeImage, stride=None) -> np.ndarray
     """
     model.eval()
     window = tuple(model.config.input_patch_shape)
-    if stride is None:
-        stride = tuple(max(1, w // 2) for w in window)
     windowed = hu_window(image).voxels.astype(np.float64)
-    padded = pad_to_shape(windowed, window, PAD_VALUE)
+    grid = _window_grid(windowed.shape, window, stride)
+    padded = pad_to_shape(windowed, grid.volume_shape, PAD_VALUE)
     lead = tuple((p - o) // 2 for p, o in zip(padded.shape, windowed.shape))
-    grid = decompose(padded.shape, window, stride)
     patches = []
     for origin in grid.origins:
         region = tuple(slice(o, o + w) for o, w in zip(origin, window))
@@ -176,8 +184,5 @@ def timed_predict(image: VolumeImage, stage1, stage2=None, cascade_cfg=None, str
     else:
         mask = predict_mask(stage1, image, stride=stride)
         info = {"mode": "single", "roi_box": None}
-    window = tuple(stage1.config.input_patch_shape)
-    use_stride = tuple(max(1, w // 2) for w in window) if stride is None else tuple(stride)
-    padded = tuple(max(n, w) for n, w in zip(image.shape, window))
-    info["patch_count"] = len(decompose(padded, window, use_stride).origins)
+    info["patch_count"] = len(_window_grid(image.shape, stage1.config.input_patch_shape, stride).origins)
     return mask, time.perf_counter() - t0, info

@@ -83,7 +83,6 @@ class CascadeConfig:
     stage2: UNet3DConfig
     stage2_input_shape: tuple[int, int, int]
     roi_margin_fraction: tuple[float, float, float] = (0.25, 0.25, 0.25)
-    empty_coarse_policy: str = "emit-empty"
 
     def validate(self) -> None:
         self.stage1.validate()
@@ -95,8 +94,6 @@ class CascadeConfig:
             )
         if any(m < 0 for m in self.roi_margin_fraction):
             raise ConfigError(f"roi_margin_fraction must be >= 0, got {self.roi_margin_fraction}")
-        if self.empty_coarse_policy != "emit-empty":
-            raise ConfigError(f"unknown empty_coarse_policy {self.empty_coarse_policy!r}")
 
 
 def fullres_config() -> UNet3DConfig:

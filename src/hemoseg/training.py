@@ -16,12 +16,18 @@ the reserved "__meta__" record.
 Every stochastic choice in a run is drawn from a fresh generator seeded by
 (seed, stream, step), never from a long-lived stream.  Resuming from a
 checkpoint therefore replays the exact trajectory of an uninterrupted run.
+
+Each stage has one code path: ``train_stage`` (stage 1, patches cropped to
+the model's input patch shape) and ``train_stage2`` (ground-truth ROIs)
+take a built model, and ``train_cascade`` runs both on one windowed copy of
+the dataset.  Every loop, ``overfit_fixed_batch`` included, goes through
+the one step loop ``_run_steps``.
 """
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +68,10 @@ class CkptTruncated(CheckpointError):
     pass
 
 
+class DatasetError(ValueError):
+    """The dataset cannot train the stage: it is empty, or stage 2 finds no foreground."""
+
+
 class TrainingAbort(RuntimeError):
     """Loss went non-finite; carries the diagnostic context."""
 
@@ -91,27 +101,20 @@ class TrainConfig:
     epochs: int = 10
     steps_per_epoch: int = 20
     batch_size: int = 2
-    patch_shape: tuple[int, int, int] = (8, 32, 32)
     seed: int = 0
-    stage: str = "1"
-    checkpoint_path: str = "checkpoint.hsck"
+    checkpoint_path: str | None = "checkpoint.hsck"  # None: save no checkpoint
     log_path: str | None = None
     lr: float = 1e-2
     eta_min: float = 1e-5
     t_0: int = 10
     t_mult: int = 2
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
     weight_decay: float = 1e-4
     jitter_fraction: float = 0.1
 
     def validate(self) -> None:
         if min(self.epochs, self.steps_per_epoch, self.batch_size) < 1:
             raise ValueError("epochs, steps_per_epoch, and batch_size must be positive")
-        if min(self.patch_shape) < 1:
-            raise ValueError(f"bad patch shape {self.patch_shape}")
-        if self.stage not in ("1", "2", "cascade"):
-            raise ValueError(f"stage must be 1, 2, or cascade, got {self.stage!r}")
+        CosineWarmRestarts(eta_max=self.lr, eta_min=self.eta_min, t_0=self.t_0, t_mult=self.t_mult)  # checks the schedule
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +232,7 @@ def load_stage_checkpoint(path) -> tuple[UNet3D, dict[str, np.ndarray], dict]:
 
 def _window_dataset(dataset):
     if len(dataset) == 0:
-        raise ValueError("empty dataset")
+        raise DatasetError("empty dataset")
     return [(hu_window(img).voxels.astype(np.float64), msk.voxels) for img, msk in dataset]
 
 
@@ -291,10 +294,12 @@ def _log_step(log_path, record: dict) -> None:
         fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _run_steps(model, make_batch, cfg: TrainConfig, optimizer, start_step: int, stage_tag: str, extra_meta=None):
-    """The shared step loop: batch, forward, loss, backward, update, log."""
+def _run_steps(model, make_batch, cfg: TrainConfig, stage_tag: str, optimizer=None, start_step=0, extra_meta=None):
+    """The one step loop: batch, forward, loss, backward, update, log, and a
+    checkpoint at every epoch end.  Returns the per-step records."""
     from .autodiff import Tensor
 
+    optimizer = optimizer or _make_optimizer(model, cfg)
     sched = CosineWarmRestarts(eta_max=cfg.lr, eta_min=cfg.eta_min, t_0=cfg.t_0, t_mult=cfg.t_mult)
     total_steps = cfg.epochs * cfg.steps_per_epoch
     history = []
@@ -321,7 +326,8 @@ def _run_steps(model, make_batch, cfg: TrainConfig, optimizer, start_step: int, 
                 "per_level": [[l, d, c] for l, d, c in report.per_level],
             },
         )
-        if (step + 1) % cfg.steps_per_epoch == 0 or step + 1 == total_steps:
+        epoch_end = (step + 1) % cfg.steps_per_epoch == 0 or step + 1 == total_steps
+        if epoch_end and cfg.checkpoint_path is not None:
             train_meta = {
                 "stage": stage_tag,
                 "seed": cfg.seed,
@@ -329,43 +335,38 @@ def _run_steps(model, make_batch, cfg: TrainConfig, optimizer, start_step: int, 
                 "steps_per_epoch": cfg.steps_per_epoch,
                 "epochs": cfg.epochs,
                 "batch_size": cfg.batch_size,
-                "patch_shape": list(cfg.patch_shape),
                 "lr": cfg.lr,
                 "eta_min": cfg.eta_min,
                 "t_0": cfg.t_0,
                 "t_mult": cfg.t_mult,
                 "weight_decay": cfg.weight_decay,
+                **(extra_meta or {}),
             }
-            if extra_meta:
-                train_meta.update(extra_meta)
             save_stage_checkpoint(cfg.checkpoint_path, model, optimizer, train_meta)
     return history
 
 
 def _make_optimizer(model, cfg: TrainConfig) -> AdamW:
-    return AdamW(
-        model.named_parameters(),
-        lr=cfg.lr,
-        betas=cfg.betas,
-        eps=cfg.eps,
-        weight_decay=cfg.weight_decay,
+    return AdamW(model.named_parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
+
+
+def _train_stage1(model, prepared, cfg: TrainConfig, optimizer=None, start_step=0, extra_meta=None):
+    policy = AugmentPolicy(crop_shape=tuple(model.config.input_patch_shape))
+    history = _run_steps(
+        model, lambda step: _stage1_batch(prepared, cfg, policy, step), cfg, "1", optimizer, start_step, extra_meta
     )
+    return Path(cfg.checkpoint_path), history
 
 
 def train_stage(model, dataset, cfg: TrainConfig, optimizer=None, start_step=0):
     """Patch-sampled training of one network; returns (checkpoint path, history).
 
-    dataset is a list of (VolumeImage in HU, SegMask) pairs.  Aborts with
-    TrainingAbort if the loss goes non-finite.
+    dataset is a list of (VolumeImage in HU, SegMask) pairs; patches are
+    cropped to the model's input patch shape.  Aborts with TrainingAbort if
+    the loss goes non-finite.
     """
     cfg.validate()
-    prepared = _window_dataset(dataset)
-    policy = AugmentPolicy(crop_shape=tuple(cfg.patch_shape))
-    optimizer = optimizer or _make_optimizer(model, cfg)
-    history = _run_steps(
-        model, lambda step: _stage1_batch(prepared, cfg, policy, step), cfg, optimizer, start_step, cfg.stage
-    )
-    return Path(cfg.checkpoint_path), history
+    return _train_stage1(model, _window_dataset(dataset), cfg, optimizer, start_step)
 
 
 def resume_stage(checkpoint_path, dataset, cfg: TrainConfig):
@@ -393,7 +394,19 @@ def _cascade_meta(cascade_cfg) -> dict:
     }
 
 
-def train_stage2(dataset, cascade_cfg, cfg: TrainConfig, seed_offset: int = 0):
+def _train_stage2(model, prepared, cascade_cfg, cfg: TrainConfig):
+    candidates = [i for i, (_, msk) in enumerate(prepared) if msk.sum() > 0]
+    if not candidates:
+        raise DatasetError("no cases with foreground: stage 2 has nothing to train on")
+
+    def batch(step):
+        return _stage2_batch(prepared, candidates, cascade_cfg, cfg, step)
+
+    history = _run_steps(model, batch, cfg, "2", extra_meta=_cascade_meta(cascade_cfg))
+    return Path(cfg.checkpoint_path), history
+
+
+def train_stage2(model, dataset, cascade_cfg, cfg: TrainConfig):
     """Train only the refinement network on ground-truth ROIs.
 
     Each sample is a margin-grown, jittered bounding box around a nonempty
@@ -402,58 +415,27 @@ def train_stage2(dataset, cascade_cfg, cfg: TrainConfig, seed_offset: int = 0):
     """
     cfg.validate()
     cascade_cfg.validate()
-    prepared = _window_dataset(dataset)
-    candidates = [i for i, (_, msk) in enumerate(prepared) if msk.sum() > 0]
-    if not candidates:
-        raise ValueError("no cases with foreground: stage 2 has nothing to train on")
-    model = build_unet(cascade_cfg.stage2, seed=cfg.seed + seed_offset)
-    optimizer = _make_optimizer(model, cfg)
-    history = _run_steps(
-        model,
-        lambda step: _stage2_batch(prepared, candidates, cascade_cfg, cfg, step),
-        cfg,
-        optimizer,
-        0,
-        "2",
-        extra_meta=_cascade_meta(cascade_cfg),
-    )
-    return Path(cfg.checkpoint_path), history
+    return _train_stage2(model, _window_dataset(dataset), cascade_cfg, cfg)
 
 
 def train_cascade(dataset, cascade_cfg, cfg: TrainConfig):
     """Train both cascade stages; returns (stage-1 path, stage-2 path).
 
-    Stage 2 sees ground-truth ROIs (margin-grown, jittered) resized to its
-    input shape, so the stages train independently.  Cases with empty masks
-    are excluded from stage-2 sampling.
+    Stage 1 is built with cfg.seed and stage 2 with cfg.seed + 1.  Stage 2
+    sees ground-truth ROIs (margin-grown, jittered) resized to its input
+    shape, so the stages train independently.  Cases with empty masks are
+    excluded from stage-2 sampling.
     """
     cfg.validate()
     cascade_cfg.validate()
     prepared = _window_dataset(dataset)
-
+    cfg1 = replace(cfg, checkpoint_path=str(_derived_path(cfg.checkpoint_path, "stage1")))
     stage1 = build_unet(cascade_cfg.stage1, seed=cfg.seed)
-    cfg1 = _clone_cfg(cfg, stage="1", checkpoint_path=str(_derived_path(cfg.checkpoint_path, "stage1")))
-    opt1 = _make_optimizer(stage1, cfg1)
-    policy = AugmentPolicy(crop_shape=tuple(cfg1.patch_shape))
-    _run_steps(
-        stage1,
-        lambda step: _stage1_batch(prepared, cfg1, policy, step),
-        cfg1,
-        opt1,
-        0,
-        "1",
-        extra_meta=_cascade_meta(cascade_cfg),
-    )
-
-    cfg2 = _clone_cfg(cfg, stage="2", checkpoint_path=str(_derived_path(cfg.checkpoint_path, "stage2")))
-    p2, _ = train_stage2(dataset, cascade_cfg, cfg2, seed_offset=1)
-    return Path(cfg1.checkpoint_path), p2
-
-
-def _clone_cfg(cfg: TrainConfig, **overrides) -> TrainConfig:
-    kwargs = {k: getattr(cfg, k) for k in TrainConfig.__dataclass_fields__}
-    kwargs.update(overrides)
-    return TrainConfig(**kwargs)
+    p1, _ = _train_stage1(stage1, prepared, cfg1, extra_meta=_cascade_meta(cascade_cfg))
+    cfg2 = replace(cfg, checkpoint_path=str(_derived_path(cfg.checkpoint_path, "stage2")))
+    stage2 = build_unet(cascade_cfg.stage2, seed=cfg.seed + 1)
+    p2, _ = _train_stage2(stage2, prepared, cascade_cfg, cfg2)
+    return p1, p2
 
 
 def overfit_fixed_batch(model, x: np.ndarray, labels: np.ndarray, steps: int, lr=1e-2):
@@ -461,19 +443,7 @@ def overfit_fixed_batch(model, x: np.ndarray, labels: np.ndarray, steps: int, lr
 
     Uses a constant learning rate and no weight decay, the cleanest setting
     for checking that the training machinery can drive the loss down.
+    Writes no log and no checkpoint.
     """
-    from .autodiff import Tensor
-
-    optimizer = AdamW(model.named_parameters(), lr=lr, weight_decay=0.0)
-    history: list[StepRecord] = []
-    model.train()
-    xt = x.astype(np.float32)
-    for _ in range(steps):
-        optimizer.zero_grad()
-        report = deep_supervision_loss(model(Tensor(xt)), labels)
-        if not np.isfinite(report.total_value):
-            raise TrainingAbort(len(history), lr, report.per_level)
-        report.total.backward()
-        optimizer.step()
-        history.append(StepRecord(len(history), lr, report.total_value, tuple(report.per_level)))
-    return history
+    cfg = TrainConfig(epochs=1, steps_per_epoch=steps, lr=lr, eta_min=lr, weight_decay=0.0, checkpoint_path=None)
+    return _run_steps(model, lambda step: (x, labels), cfg, "overfit")

@@ -124,9 +124,12 @@ def read_rvol(path):
     if len(body) != need:
         raise RvolTruncated(f"{path}: payload has {len(body)} bytes, header promises {need}")
     voxels = np.frombuffer(body, dtype=dtype).reshape(d, h, w)
-    if code == DTYPE_IMAGE:
-        return VolumeImage(voxels=voxels.astype(np.float32), spacing_mm=(sd, sh, sw))
-    return SegMask(voxels=voxels.copy(), spacing_mm=(sd, sh, sw))
+    try:
+        if code == DTYPE_IMAGE:
+            return VolumeImage(voxels=voxels.astype(np.float32), spacing_mm=(sd, sh, sw))
+        return SegMask(voxels=voxels.copy(), spacing_mm=(sd, sh, sw))
+    except ValueError as exc:  # geometry or mask values the containers refuse
+        raise RvolError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,15 @@ stdout can be asserted directly.  A tiny cascade is trained once per
 session and shared by the inference tests.
 """
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hemoseg
 from hemoseg.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from hemoseg.losses import confusion, metrics
 from hemoseg.training import load_stage_checkpoint
@@ -339,3 +343,61 @@ class TestParser:
 
     def test_exit_code_constants(self):
         assert (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC) == (0, 2, 3, 4)
+
+
+# Bad invocations, run as a separate process so stderr shows whether a
+# traceback escaped: (id, argv template, expected exit code, stderr must name).
+BAD_INVOCATIONS = [
+    ("unknown-key-set", ["train", "--data", "{data}", "--out", "{tmp}/x.hsck", "--set", "train.epoch=1"],
+     EXIT_USAGE, "train.epochs"),
+    ("unknown-key-config", ["train", "--data", "{data}", "--out", "{tmp}/x.hsck", "--config", "{cfg}"],
+     EXIT_USAGE, "train.epochs"),
+    ("removed-train-patch", ["train", "--data", "{data}", "--out", "{tmp}/x.hsck", "--set", "train.patch=8,16,16"],
+     EXIT_USAGE, "model.patch"),
+    ("zero-epochs", ["train", "--data", "{data}", "--out", "{tmp}/x.hsck", "--set", "train.epochs=0"],
+     EXIT_USAGE, "positive"),
+    ("zero-restart-period", ["train", "--data", "{data}", "--out", "{tmp}/x.hsck", "--set", "train.t_0=0"],
+     EXIT_USAGE, "t_0"),
+    ("two-axis-shape", ["gen-phantoms", "--out", "{tmp}/g", "--count", "1", "--set", "phantom.shape=8,32"],
+     EXIT_USAGE, "phantom.shape"),
+    ("stage2-no-foreground", ["train", "--data", "{empty}", "--stage", "2", "--out", "{tmp}/x.hsck", *FAST_TRAIN],
+     EXIT_USAGE, "foreground"),
+    ("zero-stride", ["infer", "--model", "{ckpt}", "--input", "{image}", "--output", "{tmp}/o.rvol",
+                     "--set", "infer.stride=0,8,8"], EXIT_USAGE, "infer.stride"),
+    ("stride-over-window", ["infer", "--model", "{ckpt}", "--input", "{image}", "--output", "{tmp}/o.rvol",
+                            "--set", "infer.stride=100,8,8"], EXIT_USAGE, "window"),
+    ("mask-payload-two", ["volume", "--mask", "{two}"], EXIT_DATA, "0/1"),
+]
+
+
+@pytest.fixture(scope="session")
+def no_foreground_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("cli_empty")
+    rc = main(["gen-phantoms", "--out", str(out), "--count", "2", "--seed", "3", "--set", "phantom.lesion_count=0,0"])
+    assert rc == EXIT_OK
+    return out
+
+
+@pytest.mark.parametrize("argv,code,names", [c[1:] for c in BAD_INVOCATIONS], ids=[c[0] for c in BAD_INVOCATIONS])
+def test_bad_invocation_exit_code(argv, code, names, tmp_path, phantom_dir, cascade_ckpts, no_foreground_dir):
+    (tmp_path / "typo.cfg").write_text("train.epoch = 1\n")
+    two = tmp_path / "two.rvol"
+    write_rvol(two, SegMask(np.zeros((2, 3, 3), np.uint8), (5.0, 1.0, 1.0)))
+    two.write_bytes(two.read_bytes()[:-1] + b"\x02")
+    places = {
+        "tmp": tmp_path,
+        "data": phantom_dir,
+        "empty": no_foreground_dir,
+        "cfg": tmp_path / "typo.cfg",
+        "ckpt": cascade_ckpts[0],
+        "image": phantom_dir / "case_0000_img.rvol",
+        "two": two,
+    }
+    env = {**os.environ, "PYTHONPATH": str(Path(hemoseg.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "hemoseg.cli", *(a.format(**places) for a in argv)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert names in proc.stderr

@@ -27,6 +27,7 @@ from hemoseg.training import (
     stage2_training_box,
     train_cascade,
     train_stage,
+    train_stage2,
 )
 
 
@@ -279,8 +280,6 @@ class TestTrainStage:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(epochs=0).validate()
-        with pytest.raises(ValueError):
-            TrainConfig(stage="7").validate()
 
     def test_loss_drops_and_log_written(self, tmp_path):
         dataset = phantom_dataset(2)
@@ -288,7 +287,6 @@ class TestTrainStage:
             epochs=2,
             steps_per_epoch=4,
             batch_size=2,
-            patch_shape=(8, 32, 32),
             seed=11,
             checkpoint_path=str(tmp_path / "c.hsck"),
             log_path=str(tmp_path / "log.jsonl"),
@@ -322,7 +320,6 @@ class TestTrainStage:
                 epochs=epochs,
                 steps_per_epoch=2,
                 batch_size=1,
-                patch_shape=(8, 32, 32),
                 seed=21,
                 checkpoint_path=str(tmp_path / name),
             )
@@ -375,7 +372,6 @@ class TestTrainCascade:
             epochs=1,
             steps_per_epoch=2,
             batch_size=1,
-            patch_shape=(8, 32, 32),
             seed=30,
             checkpoint_path=str(tmp_path / "run.hsck"),
         )
@@ -387,13 +383,28 @@ class TestTrainCascade:
         assert meta2["train"]["stage"] == "2"
         assert tuple(s2.config.input_patch_shape) == toy_cascade_config().stage2_input_shape
 
+    def test_runs_the_stage_functions(self, tmp_path):
+        dataset = phantom_dataset(2, base_seed=40)
+        ccfg = toy_cascade_config()
+
+        def cfg(name):
+            return TrainConfig(epochs=1, steps_per_epoch=2, batch_size=1, seed=40, checkpoint_path=str(tmp_path / name))
+
+        p1, p2 = train_cascade(dataset, ccfg, cfg("run.hsck"))
+        q1, _ = train_stage(build_unet(ccfg.stage1, seed=40), dataset, cfg("one.hsck"))
+        q2, _ = train_stage2(build_unet(ccfg.stage2, seed=41), dataset, ccfg, cfg("two.hsck"))
+        for cascade_path, stage_path in ((p1, q1), (p2, q2)):
+            a, b = load_checkpoint(cascade_path)[0], load_checkpoint(stage_path)[0]
+            assert a.keys() == b.keys()
+            assert all(np.array_equal(a[k], b[k]) for k in a), cascade_path.name
+
     def test_all_empty_masks_rejected(self, tmp_path):
         from hemoseg.volumes import SegMask, VolumeImage
 
         img = VolumeImage(np.zeros((8, 32, 32), np.float32), (5.0, 1.0, 1.0))
         msk = SegMask(np.zeros((8, 32, 32), np.uint8), (5.0, 1.0, 1.0))
         cfg = TrainConfig(
-            epochs=1, steps_per_epoch=1, batch_size=1, patch_shape=(8, 32, 32), checkpoint_path=str(tmp_path / "r.hsck")
+            epochs=1, steps_per_epoch=1, batch_size=1, checkpoint_path=str(tmp_path / "r.hsck")
         )
         with pytest.raises(ValueError, match="foreground"):
             train_cascade([(img, msk)], toy_cascade_config(), cfg)
