@@ -187,7 +187,7 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     if not (t.requires_grad or t.record is not None):
         return
     if t.grad is None:
-        t.grad = np.array(g, dtype=t.data.dtype, copy=True)
+        t.grad = np.array(g, dtype=t.data.dtype, copy=True, order="C")
     else:
         t.grad += g
 
@@ -342,6 +342,18 @@ def conv3d(
 
     Output extent per axis is floor((n + 2p - k) / s) + 1.  Differentiable
     w.r.t. input, weight, and bias.
+
+    Shift-and-accumulate, no im2col: the input is padded once into a
+    channels-last [N, D+2pd, H+2ph, W+2pw, C] buffer, and each kernel tap
+    (i, j, l) adds ``window(i, j, l) @ W[:, :, i, j, l].T`` into a
+    channels-last accumulator.  At stride 1 a tap's window is a contiguous
+    row range of the flattened buffer, offset by the tap, and the
+    accumulator covers the padded grid; a strided window is a step-sliced
+    view, copied into one scratch buffer.  Backward reuses the windows: a
+    tap's weight gradient is ``window.T @ g`` and the input gradient adds
+    ``g @ W_tap`` into the tap's window of a padded gradient buffer.  The
+    backward closure keeps only the padded channels-last input (the input's
+    size plus its padding), no column matrix.
     """
     if x.ndim != 5 or weight.ndim != 5:
         raise ShapeError(f"conv3d: need 5-d input and weight, got {x.shape} and {weight.shape}")
@@ -362,38 +374,77 @@ def conv3d(
     ho = _conv_out_extent(h, kh, sh, ph)
     wo = _conv_out_extent(w, kw, sw, pw)
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pd, pd), (ph, ph), (pw, pw)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kd, kh, kw), axis=(2, 3, 4))
-    win = win[:, :, ::sd, ::sh, ::sw]
-    # (N*Do*Ho*Wo, C*kd*kh*kw) column matrix; the matmul is the hot path
-    col = win.transpose(0, 2, 3, 4, 1, 5, 6, 7).reshape(n * do * ho * wo, c * kd * kh * kw)
-    w2 = weight.data.reshape(k, -1)
-    out2 = col @ w2.T
+    dtype = np.result_type(x.data, weight.data)
+    xp = np.zeros((n, d + 2 * pd, h + 2 * ph, w + 2 * pw, c), dtype=x.data.dtype)
+    xp[:, pd : pd + d, ph : ph + h, pw : pw + w] = x.data.transpose(0, 2, 3, 4, 1)
+    # one contiguous (C, K) matrix per tap, in (i, j, l) order, which BLAS takes as is
+    wt = np.ascontiguousarray(weight.data.transpose(2, 3, 4, 1, 0)).reshape(-1, c, k)
+    taps = [(i, j, l) for i in range(kd) for j in range(kh) for l in range(kw)]
+    stride1 = (sd, sh, sw) == (1, 1, 1)
+    if stride1:
+        # Accumulator rows are the positions of the whole padded grid, so every tap
+        # reads one contiguous row range of the flattened buffer (no copy).  The
+        # outputs are the grid's [:do, :ho, :wo] corner; no other row is ever read.
+        grid = xp.shape[1:4]
+        offsets = [(i * grid[1] + j) * grid[2] + l for i, j, l in taps]
+        rows = xp.size // c - offsets[-1]
+    else:
+        grid = (do, ho, wo)
+        rows = n * do * ho * wo
+
+    def tap_views(buf):
+        """Each tap's window of a padded channels-last buffer, writable."""
+        if stride1:
+            flat = buf.reshape(-1, c)
+            return [flat[o : o + rows] for o in offsets]
+        return [buf[:, i : i + sd * do : sd, j : j + sh * ho : sh, l : l + sw * wo : sw] for i, j, l in taps]
+
+    def tap_rows(buf):
+        """Each tap's window as a (rows, C) matrix; strided windows are copied
+        into one scratch buffer that every tap reuses."""
+        if stride1:
+            yield from tap_views(buf)
+            return
+        scratch = np.empty((n, do, ho, wo, c), dtype=buf.dtype)
+        for view in tap_views(buf):
+            np.copyto(scratch, view)
+            yield scratch.reshape(rows, c)
+
+    acc = np.empty((n * grid[0] * grid[1] * grid[2], k), dtype=dtype)
+    prod = np.empty((rows, k), dtype=dtype)
+    for t, (x_tap, w_tap) in enumerate(zip(tap_rows(xp), wt)):
+        if t == 0:
+            np.matmul(x_tap, w_tap, out=acc[:rows])
+        else:
+            acc[:rows] += np.matmul(x_tap, w_tap, out=prod)
+    del prod
     if bias is not None:
-        out2 += bias.data
-    out = out2.reshape(n, do, ho, wo, k).transpose(0, 4, 1, 2, 3)
+        acc[:rows] += bias.data
+    out = np.ascontiguousarray(acc.reshape(n, *grid, k)[:, :do, :ho, :wo].transpose(0, 4, 1, 2, 3))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(g):
-        g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 4, 1)).reshape(n * do * ho * wo, k)
+        # g on the accumulator's rows; rows outside the output corner stay zero
+        g_rows = np.zeros((n, *grid, k), dtype=g.dtype)
+        g_rows[:, :do, :ho, :wo] = g.transpose(0, 2, 3, 4, 1)
+        g_rows = g_rows.reshape(-1, k)[:rows]
         if bias is not None:
-            _accum(bias, g2.sum(axis=0))
+            _accum(bias, g_rows.sum(axis=0))
         if weight.requires_grad or weight.record is not None:
-            _accum(weight, (g2.T @ col).reshape(weight.shape))
+            gw = np.empty(wt.shape, dtype=g_rows.dtype)
+            for t, x_tap in enumerate(tap_rows(xp)):
+                np.matmul(x_tap.T, g_rows, out=gw[t])
+            _accum(weight, gw.reshape(kd, kh, kw, c, k).transpose(4, 3, 0, 1, 2))
         if x.requires_grad or x.record is not None:
-            gcol = g2 @ w2
-            gwin = gcol.reshape(n, do, ho, wo, c, kd, kh, kw).transpose(0, 4, 1, 2, 3, 5, 6, 7)
-            gxp = np.zeros_like(xp)
-            for i in range(kd):
-                for j in range(kh):
-                    for l in range(kw):
-                        gxp[:, :, i : i + sd * do : sd, j : j + sh * ho : sh, l : l + sw * wo : sw] += gwin[
-                            ..., i, j, l
-                        ]
-            _accum(x, gxp[:, :, pd : pd + d, ph : ph + h, pw : pw + w])
+            gxp = np.zeros(xp.shape, dtype=g_rows.dtype)
+            gs = np.empty((rows, c), dtype=g_rows.dtype)
+            for view, w_tap in zip(tap_views(gxp), wt):
+                view += np.matmul(g_rows, w_tap.T, out=gs).reshape(view.shape)
+            del gs
+            _accum(x, gxp[:, pd : pd + d, ph : ph + h, pw : pw + w].transpose(0, 4, 1, 2, 3))
 
-    return _result(np.ascontiguousarray(out), parents, "conv3d", backward)
+    return _result(out, parents, "conv3d", backward)
 
 
 def conv3d_strided_down(

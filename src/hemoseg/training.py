@@ -38,7 +38,7 @@ from .inference import RoiBox, extract_roi
 from .losses import deep_supervision_loss
 from .model import UNet3D, UNet3DConfig, build_unet
 from .optim import AdamW, CosineWarmRestarts
-from .volumes import resize_nearest, resize_trilinear
+from .volumes import resize_nearest, resize_trilinear, write_file_atomic
 
 CKPT_MAGIC = b"HSCK"
 CKPT_VERSION = 1
@@ -138,8 +138,7 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict) -> Path:
         chunks.append(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes())
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(b"".join(chunks))
-    return path
+    return write_file_atomic(path, chunks)
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
@@ -394,11 +393,15 @@ def _cascade_meta(cascade_cfg) -> dict:
     }
 
 
-def _train_stage2(model, prepared, cascade_cfg, cfg: TrainConfig):
+def _stage2_candidates(prepared) -> list[int]:
+    """Indices of the cases stage 2 can sample (nonempty masks); raises DatasetError if none."""
     candidates = [i for i, (_, msk) in enumerate(prepared) if msk.sum() > 0]
     if not candidates:
         raise DatasetError("no cases with foreground: stage 2 has nothing to train on")
+    return candidates
 
+
+def _train_stage2(model, prepared, candidates, cascade_cfg, cfg: TrainConfig):
     def batch(step):
         return _stage2_batch(prepared, candidates, cascade_cfg, cfg, step)
 
@@ -415,7 +418,8 @@ def train_stage2(model, dataset, cascade_cfg, cfg: TrainConfig):
     """
     cfg.validate()
     cascade_cfg.validate()
-    return _train_stage2(model, _window_dataset(dataset), cascade_cfg, cfg)
+    prepared = _window_dataset(dataset)
+    return _train_stage2(model, prepared, _stage2_candidates(prepared), cascade_cfg, cfg)
 
 
 def train_cascade(dataset, cascade_cfg, cfg: TrainConfig):
@@ -424,17 +428,19 @@ def train_cascade(dataset, cascade_cfg, cfg: TrainConfig):
     Stage 1 is built with cfg.seed and stage 2 with cfg.seed + 1.  Stage 2
     sees ground-truth ROIs (margin-grown, jittered) resized to its input
     shape, so the stages train independently.  Cases with empty masks are
-    excluded from stage-2 sampling.
+    excluded from stage-2 sampling; a dataset without any foreground is
+    refused (DatasetError) before stage 1 starts.
     """
     cfg.validate()
     cascade_cfg.validate()
     prepared = _window_dataset(dataset)
+    candidates = _stage2_candidates(prepared)
     cfg1 = replace(cfg, checkpoint_path=str(_derived_path(cfg.checkpoint_path, "stage1")))
     stage1 = build_unet(cascade_cfg.stage1, seed=cfg.seed)
     p1, _ = _train_stage1(stage1, prepared, cfg1, extra_meta=_cascade_meta(cascade_cfg))
     cfg2 = replace(cfg, checkpoint_path=str(_derived_path(cfg.checkpoint_path, "stage2")))
     stage2 = build_unet(cascade_cfg.stage2, seed=cfg.seed + 1)
-    p2, _ = _train_stage2(stage2, prepared, cascade_cfg, cfg2)
+    p2, _ = _train_stage2(stage2, prepared, candidates, cascade_cfg, cfg2)
     return p1, p2
 
 

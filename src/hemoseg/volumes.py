@@ -14,8 +14,10 @@ writing a volume read from disk reproduces the file byte for byte.
 """
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -85,6 +87,27 @@ def _check_geometry(voxels: np.ndarray, spacing: tuple[float, float, float]) -> 
         raise ValueError(f"spacing components must be positive, got {spacing}")
 
 
+def write_file_atomic(path, chunks) -> Path:
+    """Write the byte chunks to ``path`` through a temporary file beside it.
+
+    The temporary file replaces ``path`` in one ``os.replace`` only once
+    every byte is written, so a process killed or failing mid-write leaves
+    the previous file intact; a failed write removes the temporary file.
+    (No fsync: this guards against the process dying, not the machine.)
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path
+
+
 def write_rvol(path, volume) -> None:
     """Serialize a VolumeImage (float32) or SegMask (uint8) to RVOL."""
     if isinstance(volume, VolumeImage):
@@ -95,9 +118,7 @@ def write_rvol(path, volume) -> None:
         raise TypeError(f"cannot serialize {type(volume).__name__}")
     d, h, w = volume.voxels.shape
     header = HEADER.pack(MAGIC, VERSION, code, d, h, w, *volume.spacing_mm)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(payload).tobytes())
+    write_file_atomic(path, (header, np.ascontiguousarray(payload).tobytes()))
 
 
 def read_rvol(path):

@@ -40,6 +40,41 @@ def conv3d_loops(x, w, b, stride=(1, 1, 1), padding=(0, 0, 0)):
     return out
 
 
+def conv3d_grad_loops(x, w, g, stride=(1, 1, 1), padding=(0, 0, 0)):
+    """Gradients of sum(g * conv3d(x, w, b)) w.r.t. x, w and b.
+
+    Walks the same output positions as ``conv3d_loops``: each output
+    gradient scatters ``g * w[k]`` into the input patch it read and adds
+    ``g * patch`` to its kernel.  Returns (grad_x, grad_w, grad_b).
+    """
+    n, c, d, h, wd = x.shape
+    k, _, kd, kh, kw = w.shape
+    sd, sh, sw = stride
+    pd, ph, pw = padding
+    xp = np.pad(x, ((0, 0), (0, 0), (pd, pd), (ph, ph), (pw, pw)))
+    gxp = np.zeros(xp.shape, dtype=np.float64)
+    gw = np.zeros(w.shape, dtype=np.float64)
+    gb = np.zeros(k, dtype=np.float64)
+    _, _, do, ho, wo = g.shape
+    for ni in range(n):
+        for ki in range(k):
+            for zi in range(do):
+                for yi in range(ho):
+                    for xi in range(wo):
+                        patch = (
+                            ni,
+                            slice(None),
+                            slice(zi * sd, zi * sd + kd),
+                            slice(yi * sh, yi * sh + kh),
+                            slice(xi * sw, xi * sw + kw),
+                        )
+                        gv = g[ni, ki, zi, yi, xi]
+                        gxp[patch] += gv * w[ki]
+                        gw[ki] += gv * xp[patch]
+                        gb[ki] += gv
+    return gxp[:, :, pd : pd + d, ph : ph + h, pw : pw + wd], gw, gb
+
+
 def upsample_trilinear_loops(x, factors):
     """Per-output-voxel trilinear interpolation, align-corners false."""
     n, c, d, h, w = x.shape

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import conv3d_loops, gradcheck, tada_b_scan, tada_extremes_scan
+from oracles import conv3d_grad_loops, conv3d_loops, gradcheck, tada_b_scan, tada_extremes_scan
 from test_volumetry import ellipsoid_mask
 
 from hemoseg import autodiff as ad
@@ -239,6 +239,31 @@ def test_conv3d_matches_loop_oracle_on_fifty_shapes():
         want = conv3d_loops(x, w, b, stride, padding)
         rel = np.abs(got - want) / np.maximum(np.abs(want), 1e-6)
         assert rel.max() <= 1e-5, f"conv mismatch {rel.max():g} on x{x.shape} w{w.shape} s{stride} p{padding}"
+
+
+def test_conv3d_gradients_match_loop_oracle_on_fifty_shapes():
+    rng = np.random.default_rng(78)
+    for _ in range(50):
+        n = int(rng.integers(1, 3))
+        cin = int(rng.integers(1, 4))
+        cout = int(rng.integers(1, 4))
+        spatial = tuple(int(rng.integers(3, 7)) for _ in range(3))
+        stride = tuple(int(rng.integers(1, 3)) for _ in range(3))
+        padding = tuple(int(rng.integers(0, 2)) for _ in range(3))
+        kernel = tuple(int(rng.integers(1, min(3, s + 2 * p) + 1)) for s, p in zip(spatial, padding))
+        x = Tensor(rng.standard_normal((n, cin) + spatial), requires_grad=True)
+        w = Tensor(rng.standard_normal((cout, cin) + kernel), requires_grad=True)
+        b = Tensor(rng.standard_normal((cout,)), requires_grad=True)
+        out = ad.conv3d(x, w, b, stride, padding)
+        g = rng.standard_normal(out.shape)
+        (out * Tensor(g)).sum().backward()
+        wants = conv3d_grad_loops(x.data, w.data, g, stride, padding)
+        for name, got, want in zip(("input", "weight", "bias"), (x.grad, w.grad, b.grad), wants):
+            assert got.shape == want.shape
+            rel = np.abs(got - want) / np.maximum(np.abs(want), 1e-6)
+            assert rel.max() <= 1e-5, (
+                f"conv {name} gradient mismatch {rel.max():g} on x{x.shape} w{w.shape} s{stride} p{padding}"
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 """Tensor ops against loop oracles and finite differences."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -215,6 +217,25 @@ class TestConv3d:
             return conv3d(xi, wi, None).sum()
 
         oracles.gradcheck(build, [x, w], rtol=1e-4, atol=1e-6)
+
+    def test_memory_stays_near_input_size(self):
+        # what the forward leaves allocated (output + backward context) and the
+        # peak over forward and backward, as multiples of the input's bytes
+        rng = np.random.default_rng(31)
+        x = Tensor(rng.standard_normal((2, 8, 8, 32, 32)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((8, 8, 3, 3, 3)).astype(np.float32), requires_grad=True)
+        g = np.ones(x.shape, dtype=np.float32)
+        tracemalloc.start()
+        try:
+            out = conv3d(x, w, None, padding=(1, 1, 1))
+            held, _ = tracemalloc.get_traced_memory()
+            out.record.apply(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert x.grad is not None and w.grad is not None
+        assert held <= 4 * x.data.nbytes, f"forward holds {held / x.data.nbytes:.1f}x the input"
+        assert peak <= 10 * x.data.nbytes, f"forward + backward peak {peak / x.data.nbytes:.1f}x the input"
 
 
 class TestConvStridedDown:

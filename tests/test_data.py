@@ -61,6 +61,15 @@ class TestRvolFormat:
         write_rvol(path, img)
         assert path.stat().st_size == 42 + 3 * 4 * 5 * 4
 
+    def test_failed_write_keeps_previous_file(self, tmp_path, fill_disk):
+        path = tmp_path / "m.rvol"
+        path.write_bytes(b"previous contents")
+        cut = fill_disk()
+        with pytest.raises(OSError):
+            write_rvol(path, SegMask(np.ones((4, 6, 5), np.uint8), (1.0, 1.0, 1.0)))
+        assert cut and path.read_bytes() == b"previous contents"
+        assert [p.name for p in tmp_path.iterdir()] == ["m.rvol"]
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.rvol"
         path.write_bytes(b"XVOL" + b"\x00" * 60)

@@ -231,6 +231,19 @@ class TestCheckpointFormat:
         with pytest.raises(CkptTruncated):
             load_checkpoint(p)
 
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, fill_disk):
+        path = save_checkpoint(tmp_path / "x.hsck", self._arrays(), {"m": 1})
+        before = path.read_bytes()
+        cut = fill_disk()
+        with pytest.raises(OSError):
+            save_checkpoint(path, {"a.weight": np.ones((64, 64), np.float32)}, {"m": 2})
+        assert len(cut) == 1 and cut[0].parent == tmp_path
+        assert path.read_bytes() == before
+        loaded, meta = load_checkpoint(path)
+        assert meta == {"m": 1}
+        np.testing.assert_array_equal(loaded["a.weight"], self._arrays()["a.weight"])
+        assert [p.name for p in tmp_path.iterdir()] == ["x.hsck"]
+
     def test_float64_in_payload_kept(self, tmp_path):
         arr = {"x": np.array([math.pi], dtype=np.float64)}
         loaded, _ = load_checkpoint(save_checkpoint(tmp_path / "x.hsck", arr, {}))
@@ -408,6 +421,7 @@ class TestTrainCascade:
         )
         with pytest.raises(ValueError, match="foreground"):
             train_cascade([(img, msk)], toy_cascade_config(), cfg)
+        assert not list(tmp_path.glob("*_stage1.hsck")), "stage 1 trained before the dataset was refused"
 
 
 class TestOverfitFixedBatch:
