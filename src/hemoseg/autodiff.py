@@ -12,6 +12,8 @@ threads but a graph must not be mutated concurrently.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = [
@@ -354,6 +356,12 @@ def conv3d(
     ``g @ W_tap`` into the tap's window of a padded gradient buffer.  The
     backward closure keeps only the padded channels-last input (the input's
     size plus its padding), no column matrix.
+
+    A single-channel input (the stem) would make each tap a matmul with inner
+    dimension 1, so there the taps' windows are gathered into one
+    (taps, rows) column buffer instead, and forward, weight gradient and
+    input gradient are one matmul each.  Backward gathers the columns again
+    rather than keeping them.
     """
     if x.ndim != 5 or weight.ndim != 5:
         raise ShapeError(f"conv3d: need 5-d input and weight, got {x.shape} and {weight.shape}")
@@ -410,14 +418,24 @@ def conv3d(
             np.copyto(scratch, view)
             yield scratch.reshape(rows, c)
 
+    def columns(buf):
+        """C == 1 only: every tap's window as one row of a (taps, rows) buffer."""
+        col = np.empty((len(taps), rows), dtype=buf.dtype)
+        for row, view in zip(col, tap_views(buf)):
+            np.copyto(row.reshape(view.shape), view)
+        return col
+
     acc = np.empty((n * grid[0] * grid[1] * grid[2], k), dtype=dtype)
-    prod = np.empty((rows, k), dtype=dtype)
-    for t, (x_tap, w_tap) in enumerate(zip(tap_rows(xp), wt)):
-        if t == 0:
-            np.matmul(x_tap, w_tap, out=acc[:rows])
-        else:
-            acc[:rows] += np.matmul(x_tap, w_tap, out=prod)
-    del prod
+    if c == 1:
+        np.matmul(columns(xp).T, wt.reshape(-1, k), out=acc[:rows])
+    else:
+        prod = np.empty((rows, k), dtype=dtype)
+        for t, (x_tap, w_tap) in enumerate(zip(tap_rows(xp), wt)):
+            if t == 0:
+                np.matmul(x_tap, w_tap, out=acc[:rows])
+            else:
+                acc[:rows] += np.matmul(x_tap, w_tap, out=prod)
+        del prod
     if bias is not None:
         acc[:rows] += bias.data
     out = np.ascontiguousarray(acc.reshape(n, *grid, k)[:, :do, :ho, :wo].transpose(0, 4, 1, 2, 3))
@@ -432,16 +450,25 @@ def conv3d(
         if bias is not None:
             _accum(bias, g_rows.sum(axis=0))
         if weight.requires_grad or weight.record is not None:
-            gw = np.empty(wt.shape, dtype=g_rows.dtype)
-            for t, x_tap in enumerate(tap_rows(xp)):
-                np.matmul(x_tap.T, g_rows, out=gw[t])
+            if c == 1:
+                gw = np.matmul(columns(xp), g_rows)
+            else:
+                gw = np.empty(wt.shape, dtype=g_rows.dtype)
+                for t, x_tap in enumerate(tap_rows(xp)):
+                    np.matmul(x_tap.T, g_rows, out=gw[t])
             _accum(weight, gw.reshape(kd, kh, kw, c, k).transpose(4, 3, 0, 1, 2))
         if x.requires_grad or x.record is not None:
             gxp = np.zeros(xp.shape, dtype=g_rows.dtype)
-            gs = np.empty((rows, c), dtype=g_rows.dtype)
-            for view, w_tap in zip(tap_views(gxp), wt):
-                view += np.matmul(g_rows, w_tap.T, out=gs).reshape(view.shape)
-            del gs
+            if c == 1:
+                g_col = np.matmul(wt.reshape(-1, k), g_rows.T)
+                for view, g_tap in zip(tap_views(gxp), g_col):
+                    view += g_tap.reshape(view.shape)
+                del g_col
+            else:
+                gs = np.empty((rows, c), dtype=g_rows.dtype)
+                for view, w_tap in zip(tap_views(gxp), wt):
+                    view += np.matmul(g_rows, w_tap.T, out=gs).reshape(view.shape)
+                del gs
             _accum(x, gxp[:, pd : pd + d, ph : ph + h, pw : pw + w].transpose(0, 4, 1, 2, 3))
 
     return _result(out, parents, "conv3d", backward)
@@ -474,12 +501,14 @@ def conv3d_strided_down(
 # trilinear upsampling
 
 
+@functools.lru_cache(maxsize=64)
 def _upsample_axis_matrix(n_in: int, factor: int, dtype) -> np.ndarray:
     """(n_in*factor, n_in) interpolation matrix, align-corners-false.
 
     Output sample i reads the input at (i + 0.5)/f - 0.5, clamped to the
     valid range (edge replication at the borders).  Rows sum to 1, so
-    constants are preserved exactly.
+    constants are preserved exactly.  Cached per (n_in, factor, dtype), so
+    the matrix is read-only.
     """
     n_out = n_in * factor
     src = (np.arange(n_out, dtype=np.float64) + 0.5) / factor - 0.5
@@ -490,7 +519,9 @@ def _upsample_axis_matrix(n_in: int, factor: int, dtype) -> np.ndarray:
     m = np.zeros((n_out, n_in), dtype=np.float64)
     m[np.arange(n_out), i0] += 1.0 - w1
     m[np.arange(n_out), i1] += w1
-    return m.astype(dtype)
+    m = m.astype(dtype)
+    m.flags.writeable = False
+    return m
 
 
 def _apply_axis_matrix(a: np.ndarray, m: np.ndarray, axis: int) -> np.ndarray:
@@ -503,17 +534,15 @@ def upsample_trilinear(x: Tensor, factors: tuple[int, int, int]) -> Tensor:
         raise ShapeError(f"upsample_trilinear: need 5-d input, got {x.shape}")
     if min(factors) < 1:
         raise ShapeError(f"upsample_trilinear: factors must be >= 1, got {factors}")
-    mats = [_upsample_axis_matrix(x.shape[2 + i], factors[i], x.dtype) for i in range(3)]
+    mats = [(2 + i, _upsample_axis_matrix(x.shape[2 + i], f, x.dtype)) for i, f in enumerate(factors) if f != 1]
     out = x.data
-    for i, m in enumerate(mats):
-        if factors[i] != 1:
-            out = _apply_axis_matrix(out, m, 2 + i)
+    for axis, m in mats:
+        out = _apply_axis_matrix(out, m, axis)
 
     def backward(g):
         gx = g
-        for i, m in enumerate(mats):
-            if factors[i] != 1:
-                gx = _apply_axis_matrix(gx, m.T, 2 + i)
+        for axis, m in mats:
+            gx = _apply_axis_matrix(gx, m.T, axis)
         _accum(x, gx)
 
     return _result(np.ascontiguousarray(out), (x,), "upsample_trilinear", backward)

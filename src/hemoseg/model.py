@@ -223,10 +223,14 @@ class Conv3dLayer(_Module):
         self.down_factors = tuple(down_factors) if down_factors is not None else None
         self.padding = tuple(k // 2 for k in kernel)
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, weight: Tensor | None = None, bias: Tensor | None = None) -> Tensor:
+        """Convolve with the stored parameters, or with ``weight`` and
+        ``bias`` in their place when given (the eval forward passes constants)."""
+        if weight is None:
+            weight, bias = self.weight, self.bias
         if self.down_factors is not None:
-            return ad.conv3d_strided_down(x, self.weight, self.bias, self.down_factors)
-        return ad.conv3d(x, self.weight, self.bias, stride=(1, 1, 1), padding=self.padding)
+            return ad.conv3d_strided_down(x, weight, bias, self.down_factors)
+        return ad.conv3d(x, weight, bias, stride=(1, 1, 1), padding=self.padding)
 
     def _local_params(self):
         yield "weight", self.weight
@@ -247,6 +251,25 @@ class BatchNorm3dLayer(_Module):
             x, self.gamma, self.beta, self.stats, train, momentum=self.momentum, epsilon=self.epsilon
         )
 
+    def fold(self, conv: Conv3dLayer) -> tuple[Tensor, Tensor]:
+        """Weight and bias of one conv that computes eval-mode ``self(conv(x))``.
+
+        With s = gamma / sqrt(running_var + eps) the folded weight is
+        ``w * s`` (per output channel) and the bias ``beta + (b - mean) * s``
+        (Jacob et al. 2018, "Quantization and Training of Neural Networks for
+        Efficient Integer-Arithmetic-Only Inference", sec. 3.2).  Computed in
+        float64 from the current parameters on every call, so nothing cached
+        can go stale; the results are constants in the conv weight's dtype.
+        """
+        if self.stats.batches_tracked == 0:
+            raise RuntimeError("batch_norm3d: eval mode before any running-stat update")
+        mean = self.stats.mean.astype(np.float64)
+        scale = self.gamma.data / np.sqrt(self.stats.var.astype(np.float64) + self.epsilon)
+        bias = -mean if conv.bias is None else conv.bias.data - mean
+        dtype = conv.weight.dtype
+        weight = (conv.weight.data * scale.reshape(-1, 1, 1, 1, 1)).astype(dtype)
+        return Tensor(weight), Tensor((self.beta.data + bias * scale).astype(dtype))
+
     def _local_params(self):
         yield "gamma", self.gamma
         yield "beta", self.beta
@@ -254,6 +277,13 @@ class BatchNorm3dLayer(_Module):
     def _local_buffers(self):
         yield "running_mean", self.stats.mean
         yield "running_var", self.stats.var
+
+
+def _conv_bn(conv: Conv3dLayer, bn: BatchNorm3dLayer, x: Tensor, train: bool) -> Tensor:
+    """``bn(conv(x))``; in eval mode one conv with the batch norm folded in."""
+    if train:
+        return bn(conv(x), train)
+    return conv(x, *bn.fold(conv))
 
 
 class ResidualBlock(_Module):
@@ -276,9 +306,9 @@ class ResidualBlock(_Module):
             self.proj = None
 
     def __call__(self, x: Tensor, train: bool) -> Tensor:
-        y = ad.relu(self.bn1(self.conv1(x), train))
-        y = self.bn2(self.conv2(y), train)
-        shortcut = self.proj_bn(self.proj(x), train) if self.proj is not None else x
+        y = ad.relu(_conv_bn(self.conv1, self.bn1, x, train))
+        y = _conv_bn(self.conv2, self.bn2, y, train)
+        shortcut = _conv_bn(self.proj, self.proj_bn, x, train) if self.proj is not None else x
         return ad.relu(ad.add(y, shortcut))
 
 
@@ -293,12 +323,12 @@ class DecoderStage(_Module):
 
     def __call__(self, below: Tensor, skip: Tensor, train: bool) -> Tensor:
         u = ad.upsample_trilinear(below, self.factors)
-        u = ad.relu(self.up_bn(self.up_proj(u), train))
+        u = ad.relu(_conv_bn(self.up_proj, self.up_bn, u, train))
         return self.block(ad.concat_channels(u, skip), train)
 
 
 class UNet3D(_Module):
-    """The full network; ``training`` toggles batch-norm behaviour.
+    """The full network; ``training`` switches between the two forwards.
 
     Eval-mode forward does not mutate the model and may be shared across
     threads; train-mode forward updates batch-norm running stats and needs
@@ -399,9 +429,18 @@ class UNet3D(_Module):
     def forward(self, x: Tensor) -> dict:
         """Run the network; returns post-softmax ``final`` plus ``aux`` heads.
 
-        ``aux`` is a list of (decoder level, probability tensor) at each
-        configured deep-supervision station other than 0, at that station's
-        native resolution.
+        In train mode ``aux`` is a list of (decoder level, probability
+        tensor) at each configured deep-supervision station other than 0, at
+        that station's native resolution, and batch norm uses and updates
+        batch statistics.
+
+        Eval mode is the inference forward and returns ``aux == []``: it
+        computes only the final head, and each conv with its batch norm
+        runs as one conv whose weight and bias fold in the running stats
+        (``BatchNorm3dLayer.fold``).  It hands the ops only constants (the
+        folded and detached parameters), so it builds no autograd graph
+        unless ``x`` itself asks for gradients.  It raises RuntimeError if
+        no train-mode forward ever updated the running stats.
         """
         cfg = self.config
         if x.ndim != 5 or x.shape[1] != cfg.in_channels or x.shape[2:] != cfg.input_patch_shape:
@@ -427,6 +466,9 @@ class UNet3D(_Module):
         top = ad.upsample_trilinear(y, self.top_factors)
         if self.top_block is not None:
             top = self.top_block(top, train)
+        if not train:
+            head = self._head(0)
+            return {"final": ad.softmax_channels(head(top, head.weight.detach(), head.bias.detach())), "aux": []}
         final = ad.softmax_channels(self._head(0)(top))
 
         aux = []

@@ -293,6 +293,10 @@ def _log_step(log_path, record: dict) -> None:
         fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+# TrainConfig fields that fix a run's trajectory: checkpoints record them and resume must match them
+_TRAJECTORY_FIELDS = ("seed", "steps_per_epoch", "batch_size", "lr", "eta_min", "t_0", "t_mult", "weight_decay")
+
+
 def _run_steps(model, make_batch, cfg: TrainConfig, stage_tag: str, optimizer=None, start_step=0, extra_meta=None):
     """The one step loop: batch, forward, loss, backward, update, log, and a
     checkpoint at every epoch end.  Returns the per-step records."""
@@ -329,16 +333,9 @@ def _run_steps(model, make_batch, cfg: TrainConfig, stage_tag: str, optimizer=No
         if epoch_end and cfg.checkpoint_path is not None:
             train_meta = {
                 "stage": stage_tag,
-                "seed": cfg.seed,
                 "next_step": step + 1,
-                "steps_per_epoch": cfg.steps_per_epoch,
                 "epochs": cfg.epochs,
-                "batch_size": cfg.batch_size,
-                "lr": cfg.lr,
-                "eta_min": cfg.eta_min,
-                "t_0": cfg.t_0,
-                "t_mult": cfg.t_mult,
-                "weight_decay": cfg.weight_decay,
+                **{name: getattr(cfg, name) for name in _TRAJECTORY_FIELDS},
                 **(extra_meta or {}),
             }
             save_stage_checkpoint(cfg.checkpoint_path, model, optimizer, train_meta)
@@ -369,8 +366,21 @@ def train_stage(model, dataset, cfg: TrainConfig, optimizer=None, start_step=0):
 
 
 def resume_stage(checkpoint_path, dataset, cfg: TrainConfig):
-    """Continue a run from its checkpoint; replays the uninterrupted trajectory."""
+    """Continue a stage-1 run from its checkpoint; replays the uninterrupted trajectory.
+
+    Raises ValueError, naming the field, when one of ``_TRAJECTORY_FIELDS``
+    of ``cfg`` differs from the checkpoint's recorded run (``epochs`` may
+    grow), and when the checkpoint is not a stage-1 checkpoint.
+    """
     model, optim_arrays, meta = load_stage_checkpoint(checkpoint_path)
+    recorded = meta.get("train", {})
+    if recorded.get("stage") != "1":
+        raise ValueError(f"{checkpoint_path}: stage {recorded.get('stage')!r} checkpoint; only stage 1 resumes")
+    for name in _TRAJECTORY_FIELDS:
+        if recorded.get(name) != getattr(cfg, name):
+            raise ValueError(
+                f"{checkpoint_path}: {name} is {getattr(cfg, name)!r} but the checkpoint's run used {recorded.get(name)!r}"
+            )
     optimizer = _make_optimizer(model, cfg)
     if optim_arrays:
         optimizer.load_state_arrays(optim_arrays)

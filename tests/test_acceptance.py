@@ -340,6 +340,27 @@ def test_cascade_beats_bar_and_single_stage_on_held_out_phantoms(trained_cascade
     assert elapsed < 1200, f"cascade train+eval took {elapsed:.0f}s"
 
 
+def test_folded_eval_forward_matches_unfolded_on_held_out_phantoms(trained_cascade, monkeypatch):
+    from hemoseg import model
+
+    tc = trained_cascade
+
+    def run():
+        out = []
+        for img, _ in tc["held"]:
+            probs = sliding_window_predict(tc["stage1"], img, stride=EVAL_STRIDE)
+            mask, _, _ = timed_predict(img, tc["stage1"], tc["stage2"], tc["ccfg"], stride=EVAL_STRIDE)
+            out.append((probs, mask.voxels))
+        return out
+
+    folded = run()
+    # every conv followed by batch_norm3d(train=False), as before the fold
+    monkeypatch.setattr(model, "_conv_bn", lambda conv, bn, x, train: bn(conv(x), train))
+    for (probs, mask), (want_probs, want_mask) in zip(folded, run()):
+        np.testing.assert_allclose(probs, want_probs, rtol=0, atol=1e-6)
+        np.testing.assert_array_equal(mask, want_mask)
+
+
 # ---------------------------------------------------------------------------
 # sliding-window invariants
 

@@ -1,7 +1,12 @@
 """Network construction, shape arithmetic, and forward-pass behaviour."""
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from hemoseg import autodiff as ad
+from hemoseg import model
 from hemoseg.autodiff import ShapeError, Tensor, mul
 from hemoseg.model import (
     CascadeConfig,
@@ -213,6 +218,90 @@ class TestForward:
         state.pop(sorted(state)[0])
         with pytest.raises(ConfigError, match="state mismatch"):
             net.load_state_arrays(state)
+
+
+def trained_stats_net(rng, seed=5):
+    """A toy net whose batch norms carry non-trivial parameters and running
+    stats; gamma and beta spread about as much as in trained weights (std 0.15)."""
+    net = build_unet(toy_config(), seed=seed)
+    for name, t in net.named_parameters():
+        if name.endswith((".gamma", ".beta")):
+            t.data += rng.normal(0, 0.15, size=t.shape)
+    for _ in range(3):
+        net(Tensor(rng.normal(size=(2, 1, 8, 32, 32)).astype(np.float32)))
+    return net.eval()
+
+
+class TestEvalForward:
+    def test_builds_no_graph_and_only_the_final_head(self, rng, monkeypatch):
+        built = []
+
+        class CountingRecord(ad.OpRecord):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                built.append(args[0])
+                super().__init__(*args)
+
+        monkeypatch.setattr(ad, "OpRecord", CountingRecord)
+        net = build_unet(toy_config(), seed=5)
+        x = Tensor(rng.normal(size=(1, 1, 8, 32, 32)).astype(np.float32))
+        net(x)
+        assert built  # the counter sees train-mode records
+        built.clear()
+        out = net.eval()(x)
+        assert built == []
+        assert out["aux"] == []
+        assert out["final"].record is None and out["final"].shape == (1, 2, 8, 32, 32)
+
+    def test_matches_the_unfolded_conv_then_batch_norm(self, rng, monkeypatch):
+        # float64 throughout, so the two paths differ by rounding only; in
+        # float32 each is about 7e-7 from the exact value on this untrained
+        # net (the acceptance suite compares them on trained weights)
+        net = trained_stats_net(rng)
+        for _, t in net.named_parameters():
+            t.data = t.data.astype(np.float64)
+        for _, mod in net.named_modules():
+            if isinstance(mod, model.BatchNorm3dLayer):
+                mod.stats.mean, mod.stats.var = mod.stats.mean.astype(np.float64), mod.stats.var.astype(np.float64)
+        x = Tensor(rng.normal(size=(2, 1, 8, 32, 32)))
+        folded = net(x)["final"].data
+        # the same forward with every conv followed by batch_norm3d(train=False)
+        monkeypatch.setattr(model, "_conv_bn", lambda conv, bn, t, train: bn(conv(t), train))
+        unfolded = net(x)["final"].data
+        assert folded.dtype == unfolded.dtype == np.float64
+        assert not np.array_equal(folded, unfolded)  # the reference path really ran
+        np.testing.assert_allclose(folded, unfolded, rtol=0, atol=1e-12)
+
+    def test_eval_before_any_train_step_raises(self):
+        net = build_unet(toy_config(), seed=5).eval()
+        with pytest.raises(RuntimeError, match="eval mode before any running-stat update"):
+            net(Tensor(np.zeros((1, 1, 8, 32, 32), dtype=np.float32)))
+
+    def test_threads_sharing_one_model_match_a_serial_run(self, rng):
+        net = trained_stats_net(rng)
+        workers = 4
+        xs = [Tensor(rng.normal(size=(1, 1, 8, 32, 32)).astype(np.float32)) for _ in range(2 * workers)]
+        serial = [net(x)["final"].data for x in xs]
+        threaded = [None] * len(xs)
+
+        def work(start):
+            for i in range(start, len(xs), workers):
+                threaded[i] = net(xs[i])["final"].data
+
+        threads = [threading.Thread(target=work, args=(s,)) for s in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for a, b in zip(serial, threaded):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestOverfitSmoke:

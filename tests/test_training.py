@@ -1,5 +1,6 @@
 """Optimizer, scheduler, checkpoint format, and training-loop tests."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -348,6 +349,25 @@ class TestTrainStage:
         final, _, _ = load_stage_checkpoint(tmp_path / "b.hsck")
         sa, sb = straight.state_arrays(), final.state_arrays()
         assert all(np.array_equal(sa[k], sb[k]) for k in sa)
+
+    def test_resume_refuses_a_different_trajectory(self, tmp_path):
+        dataset = phantom_dataset(1, base_seed=5)
+        cfg = TrainConfig(epochs=1, steps_per_epoch=1, batch_size=1, seed=21, checkpoint_path=str(tmp_path / "c.hsck"))
+        train_stage(build_unet(toy_config(), seed=21), dataset, cfg)
+        before = (tmp_path / "c.hsck").read_bytes()
+        with pytest.raises(ValueError, match="seed is 22 but the checkpoint's run used 21"):
+            resume_stage(tmp_path / "c.hsck", dataset, replace(cfg, epochs=2, seed=22))
+        with pytest.raises(ValueError, match="lr"):
+            resume_stage(tmp_path / "c.hsck", dataset, replace(cfg, epochs=2, lr=cfg.lr / 2))
+        assert (tmp_path / "c.hsck").read_bytes() == before
+
+    def test_resume_refuses_a_stage2_checkpoint(self, tmp_path):
+        dataset = phantom_dataset(1, base_seed=5)
+        cfg = TrainConfig(epochs=1, steps_per_epoch=1, batch_size=1, seed=21, checkpoint_path=str(tmp_path / "c.hsck"))
+        cascade = toy_cascade_config()
+        train_stage2(build_unet(cascade.stage2, seed=22), dataset, cascade, cfg)
+        with pytest.raises(ValueError, match="stage '2'"):
+            resume_stage(tmp_path / "c.hsck", dataset, replace(cfg, epochs=2))
 
 
 class TestStage2Box:
