@@ -13,6 +13,7 @@ threads but a graph must not be mutated concurrently.
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
@@ -257,10 +258,9 @@ def _scalar_mul(a: Tensor, s: float) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     """max(0, x); subgradient at 0 is 0.  NaN inputs stay NaN."""
-    mask = x.data > 0
 
     def backward(g):
-        _accum(x, g * mask)
+        _accum(x, g * (x.data > 0))
 
     return _result(np.maximum(x.data, x.data.dtype.type(0)), (x,), "relu", backward)
 
@@ -274,10 +274,9 @@ def log(x: Tensor) -> Tensor:
 
 def clamp_min(x: Tensor, lo: float) -> Tensor:
     """Elementwise max(x, lo); gradient passes through where x >= lo."""
-    mask = x.data >= lo
 
     def backward(g):
-        _accum(x, g * mask)
+        _accum(x, g * (x.data >= lo))
 
     return _result(np.maximum(x.data, x.data.dtype.type(lo)), (x,), "clamp_min", backward)
 
@@ -333,6 +332,182 @@ def _conv_out_extent(n: int, k: int, s: int, p: int) -> int:
     return (n + 2 * p - k) // s + 1
 
 
+_ALL = (slice(None), slice(None))
+# Column block of the multi-matmul convs: the gathered rows and the accumulator
+# of one block stay in cache across the lead taps' matmuls and accumulate passes.
+# 512-640 KiB was fastest of 128 KiB-2 MiB and of no blocking on the toy
+# cascade's stride-1 3x3x3 convs (2-vCPU Xeon, 4 MiB L2); see ROADMAP item 2.
+_BLOCK_BYTES = 1 << 19
+
+
+def _pad_channels_first(x, padding, xp=None):
+    """[N,C,D,H,W] as a zero-padded [C,N,D+2pd,H+2ph,W+2pw] buffer, written
+    into ``xp`` when given; a negative padding crops instead."""
+    n, c, *ext = x.shape
+    if xp is None:
+        xp = np.zeros((c, n) + tuple(e + 2 * p for e, p in zip(ext, padding)), dtype=x.dtype)
+    else:
+        xp.fill(0)
+    dst = tuple(slice(max(p, 0), max(p, 0) + e + 2 * min(p, 0)) for e, p in zip(ext, padding))
+    src = tuple(slice(max(-p, 0), e - max(-p, 0)) for e, p in zip(ext, padding))
+    xp[_ALL + dst] = x.transpose(1, 0, 2, 3, 4)[_ALL + src]
+    return xp
+
+
+class _ConvPlan:
+    """How one conv splits its kernel taps between gathering and matmuls.
+
+    The gathered taps sit side by side in the matmul's inner dimension: row
+    (t, c) of the gathered [T*C, cols] buffer holds what gathered tap t
+    reads of channel c at each grid position.  Each lead tap runs one
+    matmul of depth T*C.
+
+    At stride 1 the kw width taps are gathered, and the kd*kh others are
+    the lead taps.  The grid is the whole padded input, flattened, so a tap
+    is a shift: a width tap's rows are the padded input shifted by the tap
+    (one contiguous copy), and a lead tap reads the columns [offset,
+    offset + rows).  The output is the grid's [:do, :ho, :wo] corner; the
+    other columns are computed and dropped.  A strided conv gathers every
+    tap's step-sliced window onto the output grid and runs one matmul.
+    """
+
+    def __init__(self, xshape, wshape, stride, padding):
+        n, c, *ext = xshape
+        k, _, kd, kh, kw = wshape
+        self.n, self.c, self.k, self.ks, self.ext = n, c, k, (kd, kh, kw), tuple(ext)
+        self.wshape, self.stride, self.padding = tuple(wshape), tuple(stride), tuple(padding)
+        self.padded = tuple(e + 2 * p for e, p in zip(ext, padding))
+        self.out = tuple(_conv_out_extent(e, kk, s, p) for e, kk, s, p in zip(ext, self.ks, stride, padding))
+        self.stride1 = self.stride == (1, 1, 1)
+        # weight [K, C, kd, kh, kw] -> one [K, T*C] matrix per lead tap, its
+        # columns in the gathered buffer's (tap, channel) order
+        if self.stride1:
+            self.grid = self.padded
+            plane, row = self.grid[1] * self.grid[2], self.grid[2]
+            self.offsets = [i * plane + j * row for i in range(kd) for j in range(kh)]
+            self.w_axes = (2, 3, 0, 4, 1)
+        else:
+            self.grid, self.offsets = self.out, [0]
+            self.w_axes = (0, 2, 3, 4, 1)
+        self.cols = n * self.grid[0] * self.grid[1] * self.grid[2]
+        self.rows = self.cols - self.offsets[-1]
+
+    def weights(self, w):
+        """The [lead taps, K, T*C] weight matrices."""
+        return np.ascontiguousarray(w.transpose(self.w_axes)).reshape(len(self.offsets), self.k, -1)
+
+    def gather(self, x):
+        """The gathered [T*C, cols] buffer of input x [N,C,D,H,W]."""
+        if self.stride1:
+            # width tap 0 is the padded input itself; tap l is it shifted by l
+            buf = np.empty((self.ks[2], self.c, self.cols), dtype=x.dtype)
+            flat = _pad_channels_first(x, self.padding, buf[0].reshape((self.c, self.n) + self.grid))
+            flat = flat.reshape(self.c, self.cols)
+            for l, shifted in enumerate(buf[1:], start=1):
+                shifted[:, : self.cols - l] = flat[:, l:]
+                shifted[:, self.cols - l :] = 0  # read only by dropped columns
+            return buf.reshape(-1, self.cols)
+        xp = _pad_channels_first(x, self.padding)
+        view = np.lib.stride_tricks.sliding_window_view(xp, self.ks, axis=(2, 3, 4))
+        view = view[_ALL + tuple(slice(None, None, s) for s in self.stride)]
+        return np.ascontiguousarray(np.moveaxis(view, (5, 6, 7), (0, 1, 2))).reshape(-1, self.cols)
+
+    def blocks(self, depth, itemsize):
+        """Column blocks [s, e) of the rows; a single matmul takes them all at once."""
+        if len(self.offsets) == 1:
+            return [(0, self.rows)]
+        step = max(256, _BLOCK_BYTES // (itemsize * depth))
+        return [(s, min(s + step, self.rows)) for s in range(0, self.rows, step)]
+
+    def on_grid(self, g):
+        """Output gradient g [N,K,do,ho,wo] on the grid's columns, zero
+        outside the output corner, as a [K, cols] array."""
+        g_cols = np.zeros((self.k, self.n) + self.grid, dtype=g.dtype)
+        g_cols[_ALL + tuple(slice(o) for o in self.out)] = g.transpose(1, 0, 2, 3, 4)
+        return g_cols.reshape(self.k, self.cols)
+
+    def weight_grad(self, x, g_cols):
+        """``cols @ g.T`` per lead tap, against the input gathered again,
+        as a [K, C, kd, kh, kw] array.  (``g @ cols.T``, the same product
+        transposed, runs up to 2x slower in OpenBLAS for K >= 16.)"""
+        cols = self.gather(x)
+        blocks = self.blocks(cols.shape[0] + self.k, cols.itemsize)
+        parts = np.empty((len(blocks), len(self.offsets), cols.shape[0], self.k), dtype=g_cols.dtype)
+        for part, (s, e) in zip(parts, blocks):
+            for t, off in enumerate(self.offsets):
+                np.matmul(cols[:, off + s : off + e], g_cols[:, s:e].T, out=part[t])
+        shape = tuple(self.wshape[a] for a in self.w_axes)
+        return parts.sum(axis=0).transpose(0, 2, 1).reshape(shape).transpose(np.argsort(self.w_axes))
+
+    def strided_input_grad(self, w, g_cols):
+        """Strided convs: ``W.T @ g``, each tap's rows added back where that
+        tap read, as a [N,C,D,H,W] array (the adjoint of the gather)."""
+        g_taps = np.matmul(self.weights(w)[0].T, g_cols).reshape((-1, self.c, self.n) + self.grid)
+        gxp = np.zeros((self.c, self.n) + self.padded, dtype=g_taps.dtype)
+        for g_tap, tap in zip(g_taps, itertools.product(*map(range, self.ks))):
+            gxp[_ALL + tuple(slice(i, i + s * m, s) for i, s, m in zip(tap, self.stride, self.grid))] += g_tap
+        inside = tuple(slice(p, p + e) for p, e in zip(self.padding, self.ext))
+        return gxp[_ALL + inside].transpose(1, 0, 2, 3, 4)
+
+
+def _conv_forward(x, w, b, stride, padding):
+    """conv3d on arrays: x [N,C,D,H,W], w [K,C,kd,kh,kw], bias b or None;
+    returns a C-contiguous [N,K,do,ho,wo] array."""
+    plan = _ConvPlan(x.shape, w.shape, stride, padding)
+    k = plan.k
+    dtype = np.result_type(x, w)
+    cols = plan.gather(x)
+    wmats = plan.weights(w)
+    acc = np.empty((k, plan.cols), dtype=dtype)
+    blocks = plan.blocks(cols.shape[0] + k, cols.itemsize)
+    prod = np.empty((k, blocks[0][1]), dtype=dtype) if len(wmats) > 1 else None
+    for s, e in blocks:
+        for t, (off, wm) in enumerate(zip(plan.offsets, wmats)):
+            if t == 0:
+                np.matmul(wm, cols[:, off + s : off + e], out=acc[:, s:e])
+            else:
+                acc[:, s:e] += np.matmul(wm, cols[:, off + s : off + e], out=prod[:, : e - s])
+    del cols, prod
+    corner = acc.reshape((k, plan.n) + plan.grid)[_ALL + tuple(slice(o) for o in plan.out)]
+    out = np.empty((plan.n, k) + plan.out, dtype=dtype)
+    if b is None:
+        np.copyto(out, corner.transpose(1, 0, 2, 3, 4))
+    else:
+        np.add(corner.transpose(1, 0, 2, 3, 4), b.reshape(1, k, 1, 1, 1), out=out)
+    return out
+
+
+def _pointwise(x, w, b, stride, parents):
+    """conv3d with a 1x1x1 kernel and no padding: one [K, C] @ [C, DHW]
+    matmul per batch item on NCDHW, after a step-slice when strided."""
+    n, c = x.shape[:2]
+    k = w.shape[0]
+    step = _ALL + tuple(slice(None, None, s) for s in stride)
+    xs = x.data[step]  # a view
+    out_ext = xs.shape[2:]
+    wm = w.data.reshape(k, c)
+    out = np.matmul(wm, xs.reshape(n, c, -1))
+    if b is not None:
+        out += b.data.reshape(k, 1)
+    out = out.reshape((n, k) + out_ext)
+
+    def backward(g):
+        g3 = g.reshape(n, k, -1)
+        if b is not None:
+            _accum(b, g3.sum(axis=(0, 2)))
+        if w.requires_grad or w.record is not None:
+            _accum(w, sum(gi @ xi.T for gi, xi in zip(g3, xs.reshape(n, c, -1))).reshape(w.shape))
+        if x.requires_grad or x.record is not None:
+            gx = np.matmul(wm.T, g3).reshape((n, c) + out_ext)
+            if out_ext != x.shape[2:]:
+                full = np.zeros(x.shape, dtype=gx.dtype)
+                full[step] = gx
+                gx = full
+            _accum(x, gx)
+
+    return _result(out, parents, "conv3d", backward)
+
+
 def conv3d(
     x: Tensor,
     weight: Tensor,
@@ -345,23 +520,29 @@ def conv3d(
     Output extent per axis is floor((n + 2p - k) / s) + 1.  Differentiable
     w.r.t. input, weight, and bias.
 
-    Shift-and-accumulate, no im2col: the input is padded once into a
-    channels-last [N, D+2pd, H+2ph, W+2pw, C] buffer, and each kernel tap
-    (i, j, l) adds ``window(i, j, l) @ W[:, :, i, j, l].T`` into a
-    channels-last accumulator.  At stride 1 a tap's window is a contiguous
-    row range of the flattened buffer, offset by the tap, and the
-    accumulator covers the padded grid; a strided window is a step-sliced
-    view, copied into one scratch buffer.  Backward reuses the windows: a
-    tap's weight gradient is ``window.T @ g`` and the input gradient adds
-    ``g @ W_tap`` into the tap's window of a padded gradient buffer.  The
-    backward closure keeps only the padded channels-last input (the input's
-    size plus its padding), no column matrix.
+    Two paths, both on the NCDHW layout, neither with an im2col matrix:
 
-    A single-channel input (the stem) would make each tap a matmul with inner
-    dimension 1, so there the taps' windows are gathered into one
-    (taps, rows) column buffer instead, and forward, weight gradient and
-    input gradient are one matmul each.  Backward gathers the columns again
-    rather than keeping them.
+    - A pointwise conv (1x1x1 kernel, no padding) is one
+      ``W[K, C] @ x.reshape(N, C, -1)`` matmul, after a step-slice when
+      strided.  Backward: ``gw = sum_n g_n @ x_n.T`` and ``gx = W.T @ g``,
+      written at the step positions of a zero buffer when strided.
+    - A wider kernel gathers some of its taps into the matmul's inner
+      dimension (``_ConvPlan``).  At stride 1 the kw width taps are copied
+      side by side into one [kw*C, cols] buffer, each a shifted copy of
+      the padded input, so a 3x3x3 conv runs 9 matmuls of
+      depth 3C with 8 accumulate passes instead of 27 of depth C with 26;
+      the matmuls run over column blocks that stay in cache.  A strided
+      conv, the single-channel stem among them, gathers all its taps and
+      runs one matmul.
+      Backward gathers the input again: the weight gradient is
+      ``cols @ g.T`` per matmul.  The input gradient is, at stride 1, the
+      same forward kernel applied to ``g`` with the flipped,
+      channel-swapped weight and padding k-1-p; at stride > 1, ``W.T @ g``
+      with each tap's rows added back where that tap read.
+
+    The backward closure keeps references to the input and the weight, no
+    padded or gathered copy.  The gathered buffer is freed before the
+    output is allocated.
     """
     if x.ndim != 5 or weight.ndim != 5:
         raise ShapeError(f"conv3d: need 5-d input and weight, got {x.shape} and {weight.shape}")
@@ -371,105 +552,34 @@ def conv3d(
         raise ShapeError(f"conv3d: input channels {c} != weight channels {cw}")
     if bias is not None and bias.shape != (k,):
         raise ShapeError(f"conv3d: bias shape {bias.shape} != ({k},)")
-    sd, sh, sw = stride
-    pd, ph, pw = padding
-    if min(sd, sh, sw) < 1:
+    if min(stride) < 1:
         raise ShapeError(f"conv3d: stride components must be >= 1, got {stride}")
-    for name, ext, kk, pp in zip(_AXIS_NAMES, (d, h, w), (kd, kh, kw), (pd, ph, pw)):
+    for name, ext, kk, pp in zip(_AXIS_NAMES, (d, h, w), (kd, kh, kw), padding):
         if ext + 2 * pp < kk:
             raise ShapeError(f"conv3d: kernel {kk} exceeds padded {name} extent {ext + 2 * pp}")
-    do = _conv_out_extent(d, kd, sd, pd)
-    ho = _conv_out_extent(h, kh, sh, ph)
-    wo = _conv_out_extent(w, kw, sw, pw)
-
-    dtype = np.result_type(x.data, weight.data)
-    xp = np.zeros((n, d + 2 * pd, h + 2 * ph, w + 2 * pw, c), dtype=x.data.dtype)
-    xp[:, pd : pd + d, ph : ph + h, pw : pw + w] = x.data.transpose(0, 2, 3, 4, 1)
-    # one contiguous (C, K) matrix per tap, in (i, j, l) order, which BLAS takes as is
-    wt = np.ascontiguousarray(weight.data.transpose(2, 3, 4, 1, 0)).reshape(-1, c, k)
-    taps = [(i, j, l) for i in range(kd) for j in range(kh) for l in range(kw)]
-    stride1 = (sd, sh, sw) == (1, 1, 1)
-    if stride1:
-        # Accumulator rows are the positions of the whole padded grid, so every tap
-        # reads one contiguous row range of the flattened buffer (no copy).  The
-        # outputs are the grid's [:do, :ho, :wo] corner; no other row is ever read.
-        grid = xp.shape[1:4]
-        offsets = [(i * grid[1] + j) * grid[2] + l for i, j, l in taps]
-        rows = xp.size // c - offsets[-1]
-    else:
-        grid = (do, ho, wo)
-        rows = n * do * ho * wo
-
-    def tap_views(buf):
-        """Each tap's window of a padded channels-last buffer, writable."""
-        if stride1:
-            flat = buf.reshape(-1, c)
-            return [flat[o : o + rows] for o in offsets]
-        return [buf[:, i : i + sd * do : sd, j : j + sh * ho : sh, l : l + sw * wo : sw] for i, j, l in taps]
-
-    def tap_rows(buf):
-        """Each tap's window as a (rows, C) matrix; strided windows are copied
-        into one scratch buffer that every tap reuses."""
-        if stride1:
-            yield from tap_views(buf)
-            return
-        scratch = np.empty((n, do, ho, wo, c), dtype=buf.dtype)
-        for view in tap_views(buf):
-            np.copyto(scratch, view)
-            yield scratch.reshape(rows, c)
-
-    def columns(buf):
-        """C == 1 only: every tap's window as one row of a (taps, rows) buffer."""
-        col = np.empty((len(taps), rows), dtype=buf.dtype)
-        for row, view in zip(col, tap_views(buf)):
-            np.copyto(row.reshape(view.shape), view)
-        return col
-
-    acc = np.empty((n * grid[0] * grid[1] * grid[2], k), dtype=dtype)
-    if c == 1:
-        np.matmul(columns(xp).T, wt.reshape(-1, k), out=acc[:rows])
-    else:
-        prod = np.empty((rows, k), dtype=dtype)
-        for t, (x_tap, w_tap) in enumerate(zip(tap_rows(xp), wt)):
-            if t == 0:
-                np.matmul(x_tap, w_tap, out=acc[:rows])
-            else:
-                acc[:rows] += np.matmul(x_tap, w_tap, out=prod)
-        del prod
-    if bias is not None:
-        acc[:rows] += bias.data
-    out = np.ascontiguousarray(acc.reshape(n, *grid, k)[:, :do, :ho, :wo].transpose(0, 4, 1, 2, 3))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
+    if (kd, kh, kw) == (1, 1, 1) and tuple(padding) == (0, 0, 0):
+        return _pointwise(x, weight, bias, stride, parents)
+    out = _conv_forward(x.data, weight.data, None if bias is None else bias.data, stride, padding)
 
     def backward(g):
-        # g on the accumulator's rows; rows outside the output corner stay zero
-        g_rows = np.zeros((n, *grid, k), dtype=g.dtype)
-        g_rows[:, :do, :ho, :wo] = g.transpose(0, 2, 3, 4, 1)
-        g_rows = g_rows.reshape(-1, k)[:rows]
         if bias is not None:
-            _accum(bias, g_rows.sum(axis=0))
-        if weight.requires_grad or weight.record is not None:
-            if c == 1:
-                gw = np.matmul(columns(xp), g_rows)
+            _accum(bias, g.sum(axis=(0, 2, 3, 4)))
+        need_w = weight.requires_grad or weight.record is not None
+        need_x = x.requires_grad or x.record is not None
+        plan = _ConvPlan(x.shape, weight.shape, stride, padding)
+        g_cols = plan.on_grid(g) if need_w or (need_x and not plan.stride1) else None
+        if need_w:
+            _accum(weight, plan.weight_grad(x.data, g_cols))
+        if need_x:
+            if plan.stride1:
+                del g_cols
+                flipped = weight.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
+                back_pad = tuple(kk - 1 - p for kk, p in zip(plan.ks, plan.padding))
+                _accum(x, _conv_forward(g, flipped, None, (1, 1, 1), back_pad))
             else:
-                gw = np.empty(wt.shape, dtype=g_rows.dtype)
-                for t, x_tap in enumerate(tap_rows(xp)):
-                    np.matmul(x_tap.T, g_rows, out=gw[t])
-            _accum(weight, gw.reshape(kd, kh, kw, c, k).transpose(4, 3, 0, 1, 2))
-        if x.requires_grad or x.record is not None:
-            gxp = np.zeros(xp.shape, dtype=g_rows.dtype)
-            if c == 1:
-                g_col = np.matmul(wt.reshape(-1, k), g_rows.T)
-                for view, g_tap in zip(tap_views(gxp), g_col):
-                    view += g_tap.reshape(view.shape)
-                del g_col
-            else:
-                gs = np.empty((rows, c), dtype=g_rows.dtype)
-                for view, w_tap in zip(tap_views(gxp), wt):
-                    view += np.matmul(g_rows, w_tap.T, out=gs).reshape(view.shape)
-                del gs
-            _accum(x, gxp[:, pd : pd + d, ph : ph + h, pw : pw + w].transpose(0, 4, 1, 2, 3))
+                _accum(x, plan.strided_input_grad(weight.data, g_cols))
 
     return _result(out, parents, "conv3d", backward)
 

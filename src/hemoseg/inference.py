@@ -149,8 +149,9 @@ def cascade_infer(stage1, stage2, image: VolumeImage, cascade_cfg, stride1=None)
     """Coarse localization, ROI crop/resize, fine segmentation, paste-back.
 
     Stage 1 runs sliding-window over the whole volume; its argmax mask
-    yields an enlarged ROI.  The windowed ROI image is resized to the
-    stage-2 input shape, normalized, segmented, and the foreground
+    yields an enlarged ROI.  The ROI crop alone is HU-windowed (windowing is
+    elementwise, so this equals cropping the windowed volume), resized to
+    the stage-2 input shape, normalized, segmented, and the foreground
     probability is resized back and thresholded at 0.5.  An empty coarse
     mask short-circuits to an all-background mask.
 
@@ -165,8 +166,7 @@ def cascade_infer(stage1, stage2, image: VolumeImage, cascade_cfg, stride1=None)
     box = extract_roi(coarse, cascade_cfg.roi_margin_fraction)
     if box is None:
         return SegMask(np.zeros(image.shape, dtype=np.uint8), image.spacing_mm), None
-    windowed = hu_window(image).voxels.astype(np.float64)
-    roi = windowed[box.slices()]
+    roi = hu_window(VolumeImage(image.voxels[box.slices()], image.spacing_mm)).voxels.astype(np.float64)
     x = zscore_normalize(resize_trilinear(roi, cascade_cfg.stage2_input_shape))[None, None]
     fine = stage2(Tensor(x))["final"].data[0]
     fg_back = resize_trilinear(fine[1], box.extents)

@@ -75,6 +75,50 @@ def conv3d_grad_loops(x, w, g, stride=(1, 1, 1), padding=(0, 0, 0)):
     return gxp[:, :, pd : pd + d, ph : ph + h, pw : pw + wd], gw, gb
 
 
+def _conv_windows(x, kernel, stride, padding):
+    """Every output position's input window, [N, C, do, ho, wo, kd, kh, kw] (a view)."""
+    pd, ph, pw = padding
+    xp = np.pad(np.asarray(x, dtype=np.float64), ((0, 0), (0, 0), (pd, pd), (ph, ph), (pw, pw)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, kernel, axis=(2, 3, 4))
+    sd, sh, sw = stride
+    return win[:, :, ::sd, ::sh, ::sw]
+
+
+def conv3d_windows(x, w, b, stride=(1, 1, 1), padding=(0, 0, 0)):
+    """Vectorized float64 3D cross-correlation: one einsum over the padded
+    input's sliding windows, step-sliced by the stride."""
+    win = _conv_windows(x, w.shape[2:], stride, padding)
+    out = np.einsum("ncdhwijl,kcijl->nkdhw", win, np.asarray(w, dtype=np.float64))
+    if b is not None:
+        out += np.asarray(b, dtype=np.float64).reshape(1, -1, 1, 1, 1)
+    return out
+
+
+def conv3d_grad_windows(x, w, g, stride=(1, 1, 1), padding=(0, 0, 0)):
+    """Gradients of sum(g * conv3d(x, w, b)) w.r.t. x, w and b, in float64.
+
+    The weight gradient is one einsum of g against the sliding windows; the
+    input gradient adds each tap's ``w[:, :, i, j, l].T @ g`` into the strided
+    positions that tap read.  Returns (grad_x, grad_w, grad_b).
+    """
+    g = np.asarray(g, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    kd, kh, kw = w.shape[2:]
+    gw = np.einsum("ncdhwijl,nkdhw->kcijl", _conv_windows(x, (kd, kh, kw), stride, padding), g)
+    n, c, d, h, wd = x.shape
+    sd, sh, sw = stride
+    pd, ph, pw = padding
+    do, ho, wo = g.shape[2:]
+    gxp = np.zeros((n, c, d + 2 * pd, h + 2 * ph, wd + 2 * pw))
+    for i in range(kd):
+        for j in range(kh):
+            for l in range(kw):
+                window = (slice(None), slice(None), slice(i, i + sd * do, sd), slice(j, j + sh * ho, sh),
+                          slice(l, l + sw * wo, sw))
+                gxp[window] += np.einsum("nkdhw,kc->ncdhw", g, w[:, :, i, j, l])
+    return gxp[:, :, pd : pd + d, ph : ph + h, pw : pw + wd], gw, g.sum(axis=(0, 2, 3, 4))
+
+
 def upsample_trilinear_loops(x, factors):
     """Per-output-voxel trilinear interpolation, align-corners false."""
     n, c, d, h, w = x.shape

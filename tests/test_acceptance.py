@@ -11,7 +11,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import conv3d_grad_loops, conv3d_loops, gradcheck, tada_b_scan, tada_extremes_scan
+from oracles import (
+    conv3d_grad_loops,
+    conv3d_grad_windows,
+    conv3d_loops,
+    conv3d_windows,
+    gradcheck,
+    tada_b_scan,
+    tada_extremes_scan,
+)
 from test_volumetry import ellipsoid_mask
 
 from hemoseg import autodiff as ad
@@ -266,6 +274,66 @@ def test_conv3d_gradients_match_loop_oracle_on_fifty_shapes():
             )
 
 
+def _toy_cascade_conv_calls(monkeypatch):
+    """Every distinct conv3d call of the toy cascade, as (input shape, weight
+    shape, stride, padding): train forwards at batch 2 and eval forwards at
+    batch 1, with the stage-1 and the stage-2 patch shape."""
+    calls = {}
+    real = ad.conv3d
+
+    def record(x, weight, bias=None, stride=(1, 1, 1), padding=(0, 0, 0)):
+        calls[(x.shape, weight.shape, tuple(stride), tuple(padding))] = None
+        return real(x, weight, bias, stride, padding)
+
+    monkeypatch.setattr(ad, "conv3d", record)
+    rng = np.random.default_rng(80)
+    ccfg = toy_cascade_config()
+    for cfg in (ccfg.stage1, ccfg.stage2):
+        model = build_unet(cfg, seed=0)
+        model(Tensor(rng.standard_normal((2, 1) + cfg.input_patch_shape).astype(np.float32)))
+        model.eval()(Tensor(rng.standard_normal((1, 1) + cfg.input_patch_shape).astype(np.float32)))
+    monkeypatch.undo()
+    return list(calls)
+
+
+def test_conv3d_matches_window_oracle_on_toy_cascade_shapes(monkeypatch):
+    rng = np.random.default_rng(79)
+    for _ in range(5):  # the window oracle itself against the loop oracle
+        x = rng.standard_normal((2, 2, 4, 5, 6))
+        w = rng.standard_normal((3, 2, 3, 2, 3))
+        b = rng.standard_normal(3)
+        stride = tuple(int(v) for v in rng.integers(1, 3, size=3))
+        np.testing.assert_allclose(conv3d_windows(x, w, b, stride, (1, 0, 1)),
+                                   conv3d_loops(x, w, b, stride, (1, 0, 1)), rtol=1e-12, atol=1e-12)
+        g = rng.standard_normal(conv3d_loops(x, w, b, stride, (1, 0, 1)).shape)
+        for got, want in zip(conv3d_grad_windows(x, w, g, stride, (1, 0, 1)),
+                             conv3d_grad_loops(x, w, g, stride, (1, 0, 1))):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    calls = _toy_cascade_conv_calls(monkeypatch)
+    assert {xs[0] for xs, *_ in calls} == {1, 2}
+    assert {xs[2:] for xs, *_ in calls} >= {(8, 32, 32), (16, 32, 32)}
+    assert min(xs[1] for xs, *_ in calls) == 1 and max(xs[1] for xs, *_ in calls) == 32
+    assert {stride for _, _, stride, _ in calls} == {(1, 1, 1), (1, 2, 2), (2, 2, 2)}
+    pointwise = {stride for _, ws, stride, _ in calls if ws[2:] == (1, 1, 1)}
+    assert pointwise == {(1, 1, 1), (1, 2, 2), (2, 2, 2)}
+    for xs, ws, stride, padding in calls:
+        x = Tensor(rng.standard_normal(xs), requires_grad=True)
+        w = Tensor(rng.standard_normal(ws), requires_grad=True)
+        b = Tensor(rng.standard_normal(ws[0]), requires_grad=True)
+        out = ad.conv3d(x, w, b, stride, padding)
+        g = rng.standard_normal(out.shape)
+        (out * Tensor(g)).sum().backward()
+        wants = (conv3d_windows(x.data, w.data, b.data, stride, padding),) + conv3d_grad_windows(
+            x.data, w.data, g, stride, padding
+        )
+        for name, got, want in zip(("output", "input gradient", "weight gradient", "bias gradient"),
+                                   (out.data, x.grad, w.grad, b.grad), wants):
+            assert got.shape == want.shape
+            rel = np.abs(got - want) / np.maximum(np.abs(want), 1e-6)
+            assert rel.max() <= 1e-5, f"conv {name} mismatch {rel.max():g} on x{xs} w{ws} s{stride} p{padding}"
+
+
 # ---------------------------------------------------------------------------
 # training behavior
 
@@ -327,6 +395,7 @@ def _mean_dsc(pairs, stage1, stage2=None, ccfg=None):
     return float(np.mean(vals)), vals
 
 
+@pytest.mark.slow
 def test_cascade_beats_bar_and_single_stage_on_held_out_phantoms(trained_cascade):
     t0 = time.perf_counter()
     tc = trained_cascade
@@ -340,6 +409,7 @@ def test_cascade_beats_bar_and_single_stage_on_held_out_phantoms(trained_cascade
     assert elapsed < 1200, f"cascade train+eval took {elapsed:.0f}s"
 
 
+@pytest.mark.slow
 def test_folded_eval_forward_matches_unfolded_on_held_out_phantoms(trained_cascade, monkeypatch):
     from hemoseg import model
 
@@ -444,6 +514,7 @@ def test_volume_mae_hand_value_exact():
     assert volume_mae([10.0, 5.0], [8.0, 9.0]) == 3.0
 
 
+@pytest.mark.slow
 def test_model_volume_error_beats_bedside_formula(trained_cascade):
     tc = trained_cascade
     spec = PhantomSpec(lesion_count_range=(1, 1))

@@ -237,6 +237,21 @@ class TestConv3d:
         assert held <= 4 * x.data.nbytes, f"forward holds {held / x.data.nbytes:.1f}x the input"
         assert peak <= 10 * x.data.nbytes, f"forward + backward peak {peak / x.data.nbytes:.1f}x the input"
 
+    def test_forward_keeps_no_padded_copy(self):
+        # the output (the input's size here) plus what backward keeps: references
+        # to the input and the weight, no padded or gathered copy of the input
+        rng = np.random.default_rng(31)
+        x = Tensor(rng.standard_normal((2, 8, 8, 32, 32)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((8, 8, 3, 3, 3)).astype(np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            out = conv3d(x, w, None, padding=(1, 1, 1))
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.record is not None
+        assert held <= 1.5 * x.data.nbytes, f"forward holds {held / x.data.nbytes:.2f}x the input"
+
 
 class TestConvStridedDown:
     def test_extents_divide_exactly(self):

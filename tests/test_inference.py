@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from hemoseg.augment import hu_window, zscore_normalize
 from hemoseg.autodiff import ShapeError, Tensor, softmax_channels
 from hemoseg.inference import (
     RoiBox,
@@ -14,7 +15,7 @@ from hemoseg.inference import (
     timed_predict,
 )
 from hemoseg.model import CascadeConfig, UNet3DConfig
-from hemoseg.volumes import SegMask, VolumeImage
+from hemoseg.volumes import SegMask, VolumeImage, resize_trilinear
 
 
 class FakeStage:
@@ -285,6 +286,25 @@ class TestCascade:
         assert box is None
         assert mask.voxels.sum() == 0
         assert stage2.calls == 0
+
+    def test_windowing_the_roi_crop_keeps_the_mask(self):
+        img, _ = bright_blob_image()
+        noise = np.random.default_rng(5).normal(0.0, 20.0, img.shape).astype(np.float32)
+        img = VolumeImage(img.voxels + noise, img.spacing_mm)
+        cfg = toy_fake_cascade_cfg()
+        # reference: the cascade composed from its parts, stage 2 cropping the windowed volume
+        probs1 = sliding_window_predict(FakeStage((8, 32, 32)), img)
+        box = extract_roi(np.argmax(probs1, axis=0) == 1, cfg.roi_margin_fraction)
+        roi = hu_window(img).voxels.astype(np.float64)[box.slices()]
+        x = zscore_normalize(resize_trilinear(roi, cfg.stage2_input_shape))[None, None]
+        fine = FakeStage((8, 32, 32))(Tensor(x))["final"].data[0]
+        want = np.zeros(img.shape, dtype=np.uint8)
+        want[box.slices()] = resize_trilinear(fine[1], box.extents) > 0.5
+        assert want.sum() > 0
+
+        mask, got_box = cascade_infer(FakeStage((8, 32, 32)), FakeStage((8, 32, 32)), img, cfg)
+        assert got_box == box
+        np.testing.assert_array_equal(mask.voxels, want)
 
     def test_spacing_carried_through(self):
         img, _ = bright_blob_image(spacing=(4.0, 0.5, 0.5))
