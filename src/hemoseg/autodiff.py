@@ -2,8 +2,8 @@
 
 Implements exactly the operation set the 3D segmentation network needs:
 3D convolution (optionally strided for downsampling), trilinear upsampling,
-batch normalization, ReLU, residual add, channel concat/slice, channel
-softmax, and the elementwise/reduction ops the losses are built from.
+train-mode batch normalization, ReLU, residual add, channel concat/slice,
+channel softmax, and the elementwise/reduction ops the losses are built from.
 Data lives in row-major numpy buffers, float32 for training and inference,
 float64 for gradient checking.
 
@@ -16,6 +16,8 @@ import functools
 import itertools
 
 import numpy as np
+
+from .volumes import _linear_axis_matrix
 
 __all__ = [
     "Tensor",
@@ -613,23 +615,11 @@ def conv3d_strided_down(
 
 @functools.lru_cache(maxsize=64)
 def _upsample_axis_matrix(n_in: int, factor: int, dtype) -> np.ndarray:
-    """(n_in*factor, n_in) interpolation matrix, align-corners-false.
+    """``volumes._linear_axis_matrix(n_in, n_in * factor)`` in ``dtype``.
 
-    Output sample i reads the input at (i + 0.5)/f - 0.5, clamped to the
-    valid range (edge replication at the borders).  Rows sum to 1, so
-    constants are preserved exactly.  Cached per (n_in, factor, dtype), so
-    the matrix is read-only.
+    Cached per (n_in, factor, dtype), so the matrix is read-only.
     """
-    n_out = n_in * factor
-    src = (np.arange(n_out, dtype=np.float64) + 0.5) / factor - 0.5
-    src = np.clip(src, 0.0, n_in - 1.0)
-    i0 = np.floor(src).astype(np.intp)
-    i1 = np.minimum(i0 + 1, n_in - 1)
-    w1 = src - i0
-    m = np.zeros((n_out, n_in), dtype=np.float64)
-    m[np.arange(n_out), i0] += 1.0 - w1
-    m[np.arange(n_out), i1] += w1
-    m = m.astype(dtype)
+    m = _linear_axis_matrix(n_in, n_in * factor).astype(dtype)
     m.flags.writeable = False
     return m
 
@@ -662,32 +652,34 @@ def upsample_trilinear(x: Tensor, factors: tuple[int, int, int]) -> Tensor:
 # batch normalization
 
 
+BN_MOMENTUM = 0.1
+BN_EPSILON = 1e-5
+
+
 class BatchNormStats:
-    """Running mean/variance buffers, exponentially averaged in train mode."""
+    """Running mean/variance buffers, exponentially averaged by each train-mode
+    call, and the count of those calls (an int64 [1] array, so it is saved and
+    restored like the other buffers)."""
 
     __slots__ = ("mean", "var", "batches_tracked")
 
     def __init__(self, channels: int, dtype=np.float32):
         self.mean = np.zeros(channels, dtype=dtype)
         self.var = np.ones(channels, dtype=dtype)
-        self.batches_tracked = 0
+        self.batches_tracked = np.zeros(1, dtype=np.int64)
 
 
-def batch_norm3d(
-    x: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    stats: BatchNormStats,
-    train: bool,
-    momentum: float = 0.1,
-    epsilon: float = 1e-5,
-) -> Tensor:
-    """Per-channel normalization over (N, D, H, W).
+def batch_norm3d(x: Tensor, gamma: Tensor, beta: Tensor, stats: BatchNormStats, train: bool) -> Tensor:
+    """Train-mode per-channel normalization over (N, D, H, W).
 
-    Train mode normalizes by batch statistics, differentiates through them,
-    and moves running stats by ``momentum`` toward the batch values.  Eval
-    mode uses the running stats and errors if none were ever recorded.
+    Normalizes by batch statistics, differentiates through them, and moves
+    the running stats by ``BN_MOMENTUM`` toward the batch values.  There is
+    no eval mode here: at inference batch norm is a fixed affine map, which
+    ``model.BatchNorm3dLayer.fold`` folds into the preceding conv, so
+    ``train=False`` raises ValueError.
     """
+    if not train:
+        raise ValueError("batch_norm3d is train-only; eval mode folds batch norm into its conv (BatchNorm3dLayer.fold)")
     if x.ndim != 5:
         raise ShapeError(f"batch_norm3d: need 5-d input, got {x.shape}")
     c = x.shape[1]
@@ -695,40 +687,23 @@ def batch_norm3d(
         raise ShapeError(f"batch_norm3d: gamma/beta must have shape ({c},)")
     axes = (0, 2, 3, 4)
     bshape = (1, c, 1, 1, 1)
-    eps = x.data.dtype.type(epsilon)
-
-    if train:
-        mean = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
-        stats.mean += momentum * (mean.astype(stats.mean.dtype) - stats.mean)
-        stats.var += momentum * (var.astype(stats.var.dtype) - stats.var)
-        stats.batches_tracked += 1
-        inv_std = 1.0 / np.sqrt(var + eps)
-        xhat = (x.data - mean.reshape(bshape)) * inv_std.reshape(bshape)
-        out = gamma.data.reshape(bshape) * xhat + beta.data.reshape(bshape)
-        m = x.data.size // c
-
-        def backward(g):
-            _accum(beta, g.sum(axis=axes))
-            _accum(gamma, (g * xhat).sum(axis=axes))
-            if x.requires_grad or x.record is not None:
-                dxhat = g * gamma.data.reshape(bshape)
-                s1 = dxhat.sum(axis=axes).reshape(bshape)
-                s2 = (dxhat * xhat).sum(axis=axes).reshape(bshape)
-                _accum(x, inv_std.reshape(bshape) / m * (m * dxhat - s1 - xhat * s2))
-
-        return _result(out, (x, gamma, beta), "batch_norm3d", backward)
-
-    if stats.batches_tracked == 0:
-        raise RuntimeError("batch_norm3d: eval mode before any running-stat update")
-    inv_std = (1.0 / np.sqrt(stats.var.astype(x.data.dtype) + eps)).reshape(bshape)
-    xhat = (x.data - stats.mean.astype(x.data.dtype).reshape(bshape)) * inv_std
+    mean = x.data.mean(axis=axes)
+    var = x.data.var(axis=axes)
+    stats.mean += BN_MOMENTUM * (mean.astype(stats.mean.dtype) - stats.mean)
+    stats.var += BN_MOMENTUM * (var.astype(stats.var.dtype) - stats.var)
+    stats.batches_tracked += 1
+    inv_std = 1.0 / np.sqrt(var + x.data.dtype.type(BN_EPSILON))
+    xhat = (x.data - mean.reshape(bshape)) * inv_std.reshape(bshape)
     out = gamma.data.reshape(bshape) * xhat + beta.data.reshape(bshape)
+    m = x.data.size // c
 
-    def backward_eval(g):
+    def backward(g):
         _accum(beta, g.sum(axis=axes))
         _accum(gamma, (g * xhat).sum(axis=axes))
         if x.requires_grad or x.record is not None:
-            _accum(x, g * gamma.data.reshape(bshape) * inv_std)
+            dxhat = g * gamma.data.reshape(bshape)
+            s1 = dxhat.sum(axis=axes).reshape(bshape)
+            s2 = (dxhat * xhat).sum(axis=axes).reshape(bshape)
+            _accum(x, inv_std.reshape(bshape) / m * (m * dxhat - s1 - xhat * s2))
 
-    return _result(out, (x, gamma, beta), "batch_norm3d", backward_eval)
+    return _result(out, (x, gamma, beta), "batch_norm3d", backward)

@@ -3,7 +3,7 @@
 Exit codes are stable: 0 success, 2 usage problems (bad flags, missing
 inputs, malformed config), 3 data-format problems (corrupt volume or
 checkpoint files, mismatched case sets), 4 numeric failures (non-finite
-loss, failed phantom placement).
+loss or inference probabilities, failed phantom placement).
 
 Every command that produces files also writes a run manifest JSON next to
 its outputs: the command line, the fully resolved configuration, seed,
@@ -152,14 +152,27 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _cascade_from_checkpoints(stage1, stage2, meta2) -> CascadeConfig:
-    info = meta2.get("train", {}).get("cascade", {})
-    return CascadeConfig(
+def _cascade_from_checkpoints(paths, loaded) -> CascadeConfig:
+    """The cascade of two loaded checkpoints, ``loaded`` being (model, meta)
+    per path; checked before any forward.  The first must be a stage-1 and
+    the second a stage-2 checkpoint, and the config they make must validate."""
+    for path, (_, meta), want in zip(paths, loaded, ("1", "2")):
+        got = meta.get("train", {}).get("stage")
+        if got != want:
+            raise UsageError(f"{path}: --model slot {want} needs a stage-{want} checkpoint, this is stage {got!r}")
+    (stage1, _), (stage2, meta2) = loaded
+    info = meta2["train"].get("cascade", {})
+    cascade_cfg = CascadeConfig(
         stage1=stage1.config,
         stage2=stage2.config,
         stage2_input_shape=tuple(info.get("stage2_input_shape", stage2.config.input_patch_shape)),
-        roi_margin_fraction=tuple(info.get("roi_margin_fraction", (0.25, 0.25, 0.25))),
+        roi_margin_fraction=tuple(info.get("roi_margin_fraction", CascadeConfig.roi_margin_fraction)),
     )
+    try:
+        cascade_cfg.validate()
+    except ConfigError as exc:
+        raise ConfigError(f"{paths[1]}: {exc}") from exc
+    return cascade_cfg
 
 
 def cmd_infer(args) -> int:
@@ -172,12 +185,12 @@ def cmd_infer(args) -> int:
     if isinstance(image, SegMask):
         raise UsageError(f"{args.input}: --input must be an image volume, not a mask")
     stride = infer_stride_from(settings)
-    stage1, _, _ = load_stage_checkpoint(ckpts[0])
+    stage1, _, meta1 = load_stage_checkpoint(ckpts[0])
     if stride is not None and any(s > w for s, w in zip(stride, stage1.config.input_patch_shape)):
         raise UsageError(f"infer.stride {stride} exceeds the stage-1 window {stage1.config.input_patch_shape}")
     if len(ckpts) == 2:
         stage2, _, meta2 = load_stage_checkpoint(ckpts[1])
-        cascade_cfg = _cascade_from_checkpoints(stage1, stage2, meta2)
+        cascade_cfg = _cascade_from_checkpoints(ckpts, [(stage1, meta1), (stage2, meta2)])
         mask, seconds, info = timed_predict(image, stage1, stage2, cascade_cfg, stride=stride)
     else:
         mask, seconds, info = timed_predict(image, stage1, stride=stride)

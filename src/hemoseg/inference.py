@@ -106,6 +106,9 @@ def sliding_window_predict(model, image: VolumeImage, stride=None) -> np.ndarray
     The image is HU-windowed once; each patch is z-score normalized
     independently, exactly as during training.  The model is switched to
     eval mode; its batch-norm statistics must already be populated.
+    Raises FloatingPointError when the recomposed probabilities are not all
+    finite, as when the image holds NaN voxels (windowing clamps infinities)
+    or the weights are not finite.
     """
     model.eval()
     window = tuple(model.config.input_patch_shape)
@@ -119,6 +122,8 @@ def sliding_window_predict(model, image: VolumeImage, stride=None) -> np.ndarray
         x = zscore_normalize(padded[region])[None, None]
         patches.append(model(Tensor(x))["final"].data[0])
     probs = recompose_average(patches, grid, model.config.out_channels)
+    if not np.isfinite(probs).all():
+        raise FloatingPointError("non-finite sliding-window probabilities (NaN voxels in the image, or bad weights)")
     crop = tuple(slice(l, l + n) for l, n in zip(lead, windowed.shape))
     return probs[(slice(None),) + crop]
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import BatchNormStats, ShapeError, Tensor
+from .autodiff import BN_EPSILON, BatchNormStats, ShapeError, Tensor
 
 _AXIS_NAMES = ("depth", "height", "width")
 
@@ -239,20 +239,21 @@ class Conv3dLayer(_Module):
 
 
 class BatchNorm3dLayer(_Module):
-    def __init__(self, channels, momentum=0.1, epsilon=1e-5):
+    """Batch norm after a conv: ``self(x)`` is the train-mode op, which
+    updates the running stats; eval mode runs it folded into the conv
+    (``fold``).  Its buffers are the running mean and variance and the
+    count of train-mode calls."""
+
+    def __init__(self, channels):
         self.gamma = Tensor(np.ones(channels, dtype=np.float32), requires_grad=True)
         self.beta = Tensor(np.zeros(channels, dtype=np.float32), requires_grad=True)
         self.stats = BatchNormStats(channels)
-        self.momentum = momentum
-        self.epsilon = epsilon
 
-    def __call__(self, x: Tensor, train: bool) -> Tensor:
-        return ad.batch_norm3d(
-            x, self.gamma, self.beta, self.stats, train, momentum=self.momentum, epsilon=self.epsilon
-        )
+    def __call__(self, x: Tensor) -> Tensor:
+        return ad.batch_norm3d(x, self.gamma, self.beta, self.stats, train=True)
 
     def fold(self, conv: Conv3dLayer) -> tuple[Tensor, Tensor]:
-        """Weight and bias of one conv that computes eval-mode ``self(conv(x))``.
+        """Weight and bias of one conv that computes eval-mode batch norm of ``conv(x)``.
 
         With s = gamma / sqrt(running_var + eps) the folded weight is
         ``w * s`` (per output channel) and the bias ``beta + (b - mean) * s``
@@ -261,10 +262,10 @@ class BatchNorm3dLayer(_Module):
         float64 from the current parameters on every call, so nothing cached
         can go stale; the results are constants in the conv weight's dtype.
         """
-        if self.stats.batches_tracked == 0:
+        if self.stats.batches_tracked[0] == 0:
             raise RuntimeError("batch_norm3d: eval mode before any running-stat update")
         mean = self.stats.mean.astype(np.float64)
-        scale = self.gamma.data / np.sqrt(self.stats.var.astype(np.float64) + self.epsilon)
+        scale = self.gamma.data / np.sqrt(self.stats.var.astype(np.float64) + BN_EPSILON)
         bias = -mean if conv.bias is None else conv.bias.data - mean
         dtype = conv.weight.dtype
         weight = (conv.weight.data * scale.reshape(-1, 1, 1, 1, 1)).astype(dtype)
@@ -277,12 +278,13 @@ class BatchNorm3dLayer(_Module):
     def _local_buffers(self):
         yield "running_mean", self.stats.mean
         yield "running_var", self.stats.var
+        yield "batches_tracked", self.stats.batches_tracked
 
 
 def _conv_bn(conv: Conv3dLayer, bn: BatchNorm3dLayer, x: Tensor, train: bool) -> Tensor:
-    """``bn(conv(x))``; in eval mode one conv with the batch norm folded in."""
+    """``bn(conv(x))`` in train mode; in eval mode one conv with the batch norm folded in."""
     if train:
-        return bn(conv(x), train)
+        return bn(conv(x))
     return conv(x, *bn.fold(conv))
 
 
@@ -386,42 +388,25 @@ class UNet3D(_Module):
             t.zero_grad()
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        """All persistent state (parameters, batch-norm buffers) by name."""
-        items: dict[str, np.ndarray] = {}
-        for name, t in self.named_parameters():
-            items[name] = t.data
-        for name, arr in self.named_buffers():
-            items[name] = arr
-        for name, mod in self.named_modules():
-            if isinstance(mod, BatchNorm3dLayer):
-                items[_join(name, "batches_tracked")] = np.array(
-                    [mod.stats.batches_tracked], dtype=np.int64
-                )
+        """All persistent state by name: parameters, then buffers (batch-norm
+        running stats and train-call counts)."""
+        items = {name: t.data for name, t in self.named_parameters()}
+        items.update(self.named_buffers())
         return items
 
     def load_state_arrays(self, items: dict[str, np.ndarray]) -> None:
-        """Restore state saved by ``state_arrays``; missing or extra names error."""
+        """Restore state saved by ``state_arrays`` in place; missing or extra
+        names and shape mismatches raise ConfigError before anything is written."""
         expected = self.state_arrays()
         missing = sorted(set(expected) - set(items))
         extra = sorted(set(items) - set(expected))
         if missing or extra:
             raise ConfigError(f"state mismatch: missing {missing[:3]}, unexpected {extra[:3]}")
-        params = dict(self.named_parameters())
-        buffers = dict(self.named_buffers())
-        tracked = {
-            _join(name, "batches_tracked"): mod.stats
-            for name, mod in self.named_modules()
-            if isinstance(mod, BatchNorm3dLayer)
-        }
         for name, arr in items.items():
-            if name in params:
-                if params[name].data.shape != arr.shape:
-                    raise ConfigError(f"shape mismatch for {name}: {params[name].data.shape} vs {arr.shape}")
-                params[name].data[...] = arr
-            elif name in buffers:
-                buffers[name][...] = arr
-            else:
-                tracked[name].batches_tracked = int(arr[0])
+            if expected[name].shape != arr.shape:
+                raise ConfigError(f"shape mismatch for {name}: {expected[name].shape} vs {arr.shape}")
+        for name, arr in items.items():
+            expected[name][...] = arr
 
     def _head(self, level: int) -> Conv3dLayer:
         return self.heads[self._head_levels.index(level)]
@@ -431,16 +416,18 @@ class UNet3D(_Module):
 
         In train mode ``aux`` is a list of (decoder level, probability
         tensor) at each configured deep-supervision station other than 0, at
-        that station's native resolution, and batch norm uses and updates
-        batch statistics.
+        that station's native resolution, and batch norm
+        (``autodiff.batch_norm3d``, train-only) uses and updates batch
+        statistics.
 
         Eval mode is the inference forward and returns ``aux == []``: it
         computes only the final head, and each conv with its batch norm
         runs as one conv whose weight and bias fold in the running stats
-        (``BatchNorm3dLayer.fold``).  It hands the ops only constants (the
-        folded and detached parameters), so it builds no autograd graph
-        unless ``x`` itself asks for gradients.  It raises RuntimeError if
-        no train-mode forward ever updated the running stats.
+        (``BatchNorm3dLayer.fold``); that fold is the only eval batch norm.
+        It hands the ops only constants (the folded and detached
+        parameters), so it builds no autograd graph unless ``x`` itself asks
+        for gradients.  It raises RuntimeError if no train-mode forward ever
+        updated the running stats.
         """
         cfg = self.config
         if x.ndim != 5 or x.shape[1] != cfg.in_channels or x.shape[2:] != cfg.input_patch_shape:

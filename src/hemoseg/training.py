@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +36,7 @@ from . import __version__
 from .augment import AugmentPolicy, augment, hu_window, zscore_normalize
 from .inference import RoiBox, extract_roi
 from .losses import deep_supervision_loss
-from .model import UNet3D, UNet3DConfig, build_unet
+from .model import ConfigError, UNet3D, UNet3DConfig, build_unet
 from .optim import AdamW, CosineWarmRestarts
 from .volumes import resize_nearest, resize_trilinear, write_file_atomic
 
@@ -178,27 +178,12 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
 
 
 def config_to_dict(cfg: UNet3DConfig) -> dict:
-    return {
-        "levels": cfg.levels,
-        "channels_per_level": list(cfg.channels_per_level),
-        "downsample_factors_per_level": [list(f) for f in cfg.downsample_factors_per_level],
-        "input_patch_shape": list(cfg.input_patch_shape),
-        "in_channels": cfg.in_channels,
-        "out_channels": cfg.out_channels,
-        "deep_supervision_levels": sorted(cfg.deep_supervision_levels),
-    }
+    """JSON-safe form of a model config: its fields, with the head set as a sorted list."""
+    return {**asdict(cfg), "deep_supervision_levels": sorted(cfg.deep_supervision_levels)}
 
 
 def config_from_dict(d: dict) -> UNet3DConfig:
-    return UNet3DConfig(
-        levels=d["levels"],
-        channels_per_level=tuple(d["channels_per_level"]),
-        downsample_factors_per_level=tuple(tuple(f) for f in d["downsample_factors_per_level"]),
-        input_patch_shape=tuple(d["input_patch_shape"]),
-        in_channels=d["in_channels"],
-        out_channels=d["out_channels"],
-        deep_supervision_levels=frozenset(d["deep_supervision_levels"]),
-    )
+    return UNet3DConfig(**d)
 
 
 def save_stage_checkpoint(path, model: UNet3D, optimizer: AdamW | None, train_meta: dict) -> Path:
@@ -214,14 +199,21 @@ def save_stage_checkpoint(path, model: UNet3D, optimizer: AdamW | None, train_me
 
 
 def load_stage_checkpoint(path) -> tuple[UNet3D, dict[str, np.ndarray], dict]:
-    """Rebuild the model from a checkpoint; returns (model, optimizer arrays, meta)."""
+    """Rebuild the model from a checkpoint; returns (model, optimizer arrays, meta).
+
+    A recorded config that does not validate, or state arrays whose names or
+    shapes do not fit the model it builds, raise CheckpointError naming the file.
+    """
     arrays, meta = load_checkpoint(path)
     if "model" not in meta:
         raise CheckpointError(f"{path}: no model metadata")
-    model = build_unet(config_from_dict(meta["model"]["config"]), seed=meta["model"]["seed"])
     model_arrays = {k: v for k, v in arrays.items() if not k.startswith("optim.")}
     optim_arrays = {k: v for k, v in arrays.items() if k.startswith("optim.")}
-    model.load_state_arrays(model_arrays)
+    try:
+        model = build_unet(config_from_dict(meta["model"]["config"]), seed=meta["model"]["seed"])
+        model.load_state_arrays(model_arrays)
+    except ConfigError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
     return model, optim_arrays, meta
 
 

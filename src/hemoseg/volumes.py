@@ -158,7 +158,13 @@ def read_rvol(path):
 
 
 def _linear_axis_matrix(n_in: int, n_out: int) -> np.ndarray:
-    """Interpolation rows mapping output sample i to (i+0.5)*n_in/n_out - 0.5."""
+    """(n_out, n_in) float64 interpolation matrix, align-corners-false.
+
+    Output sample i reads the input at (i + 0.5) * n_in / n_out - 0.5,
+    clamped to the valid range (edge replication at the borders).  Rows sum
+    to 1, so constants are preserved.  ``resize_trilinear`` and
+    ``autodiff.upsample_trilinear`` both build their matrices here.
+    """
     src = (np.arange(n_out, dtype=np.float64) + 0.5) * (n_in / n_out) - 0.5
     src = np.clip(src, 0.0, n_in - 1.0)
     i0 = np.floor(src).astype(np.intp)

@@ -155,6 +155,22 @@ def upsample_trilinear_loops(x, factors):
     return out
 
 
+def batch_norm_eval(x, gamma, beta, running_mean, running_var, epsilon=1e-5):
+    """Eval-mode batch norm of an [N,C,D,H,W] array in x's dtype:
+    gamma * (x - running_mean) / sqrt(running_var + epsilon) + beta per channel."""
+    bshape = (1, -1, 1, 1, 1)
+    inv_std = (1.0 / np.sqrt(running_var.astype(x.dtype) + x.dtype.type(epsilon))).reshape(bshape)
+    xhat = (x - running_mean.astype(x.dtype).reshape(bshape)) * inv_std
+    return gamma.reshape(bshape) * xhat + beta.reshape(bshape)
+
+
+def conv_then_batch_norm_eval(conv, bn, x, train=False):
+    """Stand-in for ``model._conv_bn`` in eval mode: the layer's own conv,
+    then ``batch_norm_eval`` with the batch-norm layer's parameters and stats."""
+    y = conv(x).data
+    return Tensor(batch_norm_eval(y, bn.gamma.data, bn.beta.data, bn.stats.mean, bn.stats.var))
+
+
 def numeric_gradient(f, x, eps=1e-6):
     """Central-difference gradient of scalar-valued f at float64 array x."""
     g = np.zeros_like(x, dtype=np.float64)

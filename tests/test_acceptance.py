@@ -16,6 +16,7 @@ from oracles import (
     conv3d_grad_windows,
     conv3d_loops,
     conv3d_windows,
+    conv_then_batch_norm_eval,
     gradcheck,
     tada_b_scan,
     tada_extremes_scan,
@@ -424,8 +425,8 @@ def test_folded_eval_forward_matches_unfolded_on_held_out_phantoms(trained_casca
         return out
 
     folded = run()
-    # every conv followed by batch_norm3d(train=False), as before the fold
-    monkeypatch.setattr(model, "_conv_bn", lambda conv, bn, x, train: bn(conv(x), train))
+    # every conv followed by the eval batch-norm oracle, unfolded
+    monkeypatch.setattr(model, "_conv_bn", conv_then_batch_norm_eval)
     for (probs, mask), (want_probs, want_mask) in zip(folded, run()):
         np.testing.assert_allclose(probs, want_probs, rtol=0, atol=1e-6)
         np.testing.assert_array_equal(mask, want_mask)

@@ -345,23 +345,16 @@ class TestBatchNorm3d:
         np.testing.assert_allclose(stats.var, 0.9 * 1.0 + 0.1 * batch_var, rtol=1e-6)
         assert stats.batches_tracked == 1
 
-    def test_eval_before_any_batch_raises(self):
-        stats = BatchNormStats(2)
-        with pytest.raises(RuntimeError):
+    def test_eval_mode_points_to_the_fold(self):
+        with pytest.raises(ValueError, match="BatchNorm3dLayer.fold"):
             batch_norm3d(
-                Tensor(np.zeros((1, 2, 2, 2, 2))), Tensor(np.ones(2)), Tensor(np.zeros(2)), stats, train=False
+                Tensor(np.zeros((1, 2, 2, 2, 2))), Tensor(np.ones(2)), Tensor(np.zeros(2)), BatchNormStats(2), False
             )
 
-    def test_eval_uses_running_stats(self):
-        stats = BatchNormStats(1, dtype=np.float64)
-        stats.mean[:] = 2.0
-        stats.var[:] = 4.0
-        stats.batches_tracked = 1
+    def test_eval_oracle_matches_hand_value(self):
         x = np.full((1, 1, 1, 1, 2), 6.0)
-        out = batch_norm3d(
-            Tensor(x), Tensor(np.array([3.0])), Tensor(np.array([1.0])), stats, train=False
-        )
-        np.testing.assert_allclose(out.data, 3.0 * (6.0 - 2.0) / np.sqrt(4.0 + 1e-5) + 1.0, rtol=1e-5)
+        out = oracles.batch_norm_eval(x, np.array([3.0]), np.array([1.0]), np.array([2.0]), np.array([4.0]))
+        np.testing.assert_allclose(out, 3.0 * (6.0 - 2.0) / np.sqrt(4.0 + 1e-5) + 1.0, rtol=1e-5)
 
     def test_gradcheck_train_mode(self):
         rng = np.random.default_rng(41)
@@ -376,23 +369,6 @@ class TestBatchNorm3d:
             return mul(out, out).mean()
 
         oracles.gradcheck(build, [x, gamma, beta], rtol=1e-3, atol=1e-5)
-
-    def test_gradcheck_eval_mode(self):
-        rng = np.random.default_rng(43)
-        x = rng.normal(size=(1, 2, 2, 2, 2))
-        stats = BatchNormStats(2, dtype=np.float64)
-        stats.mean[:] = rng.normal(size=2)
-        stats.var[:] = rng.uniform(0.5, 2.0, size=2)
-        stats.batches_tracked = 5
-
-        def build(leaves):
-            xi, gi, bi = leaves
-            out = batch_norm3d(xi, gi, bi, stats, train=False)
-            return mul(out, out).mean()
-
-        oracles.gradcheck(
-            build, [x, rng.uniform(0.5, 1.5, size=2), rng.normal(size=2)], rtol=1e-4, atol=1e-6
-        )
 
 
 class TestChannelOps:

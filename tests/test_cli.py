@@ -16,8 +16,8 @@ import pytest
 import hemoseg
 from hemoseg.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from hemoseg.losses import confusion, metrics
-from hemoseg.training import load_stage_checkpoint
-from hemoseg.volumes import SegMask, read_rvol, write_rvol
+from hemoseg.training import load_checkpoint, load_stage_checkpoint, save_checkpoint
+from hemoseg.volumes import SegMask, VolumeImage, read_rvol, write_rvol
 from hemoseg.volumetry import tada_measure, tada_volume_ml, voxel_volume_ml
 
 FAST_TRAIN = ["--set", "train.epochs=1", "--set", "train.steps_per_epoch=2"]
@@ -367,6 +367,16 @@ BAD_INVOCATIONS = [
     ("stride-over-window", ["infer", "--model", "{ckpt}", "--input", "{image}", "--output", "{tmp}/o.rvol",
                             "--set", "infer.stride=100,8,8"], EXIT_USAGE, "window"),
     ("mask-payload-two", ["volume", "--mask", "{two}"], EXIT_DATA, "0/1"),
+    ("bn-var-shape-1", ["infer", "--model", "{var1}", "--input", "{image}", "--output", "{tmp}/o.rvol"],
+     EXIT_DATA, "var1.hsck: shape mismatch for dec.0.block.bn1.running_var"),
+    ("bn-var-shape-3", ["infer", "--model", "{var3}", "--input", "{image}", "--output", "{tmp}/o.rvol"],
+     EXIT_DATA, "var3.hsck: shape mismatch for dec.0.block.bn1.running_var"),
+    ("cascade-swapped", ["infer", "--model", "{s2},{ckpt}", "--input", "{image}", "--output", "{tmp}/o.rvol"],
+     EXIT_USAGE, "run_stage2.hsck: --model slot 1 needs a stage-1 checkpoint"),
+    ("cascade-stage1-twice", ["infer", "--model", "{ckpt},{ckpt}", "--input", "{image}", "--output", "{tmp}/o.rvol"],
+     EXIT_USAGE, "run_stage1.hsck: --model slot 2 needs a stage-2 checkpoint"),
+    ("nan-image", ["infer", "--model", "{ckpt},{s2}", "--input", "{nan}", "--output", "{tmp}/o.rvol"],
+     EXIT_NUMERIC, "non-finite"),
 ]
 
 
@@ -378,8 +388,22 @@ def no_foreground_dir(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="session")
+def bad_inputs(tmp_path_factory, cascade_ckpts):
+    """Stage-1 checkpoints with one batch-norm buffer reshaped, and an all-NaN image."""
+    out = tmp_path_factory.mktemp("cli_bad")
+    arrays, meta = load_checkpoint(cascade_ckpts[0])
+    for n in (1, 3):
+        bad = dict(arrays, **{"dec.0.block.bn1.running_var": np.ones(n, dtype=np.float32)})
+        save_checkpoint(out / f"var{n}.hsck", bad, meta)
+    write_rvol(out / "nan.rvol", VolumeImage(np.full((16, 64, 64), np.nan, np.float32), (5.0, 1.0, 1.0)))
+    return {"var1": out / "var1.hsck", "var3": out / "var3.hsck", "nan": out / "nan.rvol"}
+
+
 @pytest.mark.parametrize("argv,code,names", [c[1:] for c in BAD_INVOCATIONS], ids=[c[0] for c in BAD_INVOCATIONS])
-def test_bad_invocation_exit_code(argv, code, names, tmp_path, phantom_dir, cascade_ckpts, no_foreground_dir):
+def test_bad_invocation_exit_code(
+    argv, code, names, tmp_path, phantom_dir, cascade_ckpts, no_foreground_dir, bad_inputs
+):
     (tmp_path / "typo.cfg").write_text("train.epoch = 1\n")
     two = tmp_path / "two.rvol"
     write_rvol(two, SegMask(np.zeros((2, 3, 3), np.uint8), (5.0, 1.0, 1.0)))
@@ -390,6 +414,8 @@ def test_bad_invocation_exit_code(argv, code, names, tmp_path, phantom_dir, casc
         "empty": no_foreground_dir,
         "cfg": tmp_path / "typo.cfg",
         "ckpt": cascade_ckpts[0],
+        "s2": cascade_ckpts[1],
+        **bad_inputs,
         "image": phantom_dir / "case_0000_img.rvol",
         "two": two,
     }

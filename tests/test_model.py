@@ -5,6 +5,7 @@ import threading
 import numpy as np
 import pytest
 
+import oracles
 from hemoseg import autodiff as ad
 from hemoseg import model
 from hemoseg.autodiff import ShapeError, Tensor, mul
@@ -219,6 +220,24 @@ class TestForward:
         with pytest.raises(ConfigError, match="state mismatch"):
             net.load_state_arrays(state)
 
+    def test_load_checks_every_shape_before_writing(self):
+        net = build_unet(toy_config(), seed=5)
+        before = {k: v.copy() for k, v in net.state_arrays().items()}
+        state = {k: np.full_like(v, 7) for k, v in before.items()}
+        state["dec.0.block.bn1.running_var"] = np.ones(1, dtype=np.float32)
+        with pytest.raises(ConfigError, match="dec.0.block.bn1.running_var"):
+            net.load_state_arrays(state)
+        assert all(np.array_equal(v, before[k]) for k, v in net.state_arrays().items())
+
+    def test_batches_tracked_is_a_buffer(self, rng):
+        net = build_unet(toy_config(), seed=5)
+        net(Tensor(rng.normal(size=(1, 1, 8, 32, 32)).astype(np.float32)))
+        tracked = {k: v for k, v in net.named_buffers() if k.endswith("batches_tracked")}
+        assert tracked and all(v.dtype == np.int64 and v.tolist() == [1] for v in tracked.values())
+        other = build_unet(toy_config(), seed=6)
+        other.load_state_arrays({k: v.copy() for k, v in net.state_arrays().items()})
+        assert all(v.tolist() == [1] for k, v in other.named_buffers() if k.endswith("batches_tracked"))
+
 
 def trained_stats_net(rng, seed=5):
     """A toy net whose batch norms carry non-trivial parameters and running
@@ -266,8 +285,8 @@ class TestEvalForward:
                 mod.stats.mean, mod.stats.var = mod.stats.mean.astype(np.float64), mod.stats.var.astype(np.float64)
         x = Tensor(rng.normal(size=(2, 1, 8, 32, 32)))
         folded = net(x)["final"].data
-        # the same forward with every conv followed by batch_norm3d(train=False)
-        monkeypatch.setattr(model, "_conv_bn", lambda conv, bn, t, train: bn(conv(t), train))
+        # the same forward with every conv followed by the eval batch-norm oracle
+        monkeypatch.setattr(model, "_conv_bn", oracles.conv_then_batch_norm_eval)
         unfolded = net(x)["final"].data
         assert folded.dtype == unfolded.dtype == np.float64
         assert not np.array_equal(folded, unfolded)  # the reference path really ran
