@@ -1,14 +1,18 @@
 """Command-line front end: phantom generation, training, inference, reports.
 
 Exit codes are stable: 0 success, 2 usage problems (bad flags, missing
-inputs, malformed config), 3 data-format problems (corrupt volume or
-checkpoint files, mismatched case sets), 4 numeric failures (non-finite
-loss or inference probabilities, failed phantom placement).
+inputs, malformed config, an output path that is a directory), 3
+data-format problems (corrupt volume or checkpoint files, mismatched case
+sets or mask grids), 4 numeric failures (non-finite loss or inference
+probabilities, failed phantom placement).
 
-Every command that produces files also writes a run manifest JSON next to
-its outputs: the command line, the fully resolved configuration, seed,
-input/output paths, tool version, and wall time.  A run can be repeated
-from its manifest alone.
+Each command returns what it made, and ``main`` writes the run manifest
+JSON next to its outputs: the arguments ``main`` received (``argv``), the
+settings given (``--config`` file plus ``--set``, not the resolved
+configuration), seed, input/output paths, tool version, and wall time.
+Every file but the appended ``train --log`` is written through
+``volumes.write_file_atomic``, so a failed write leaves the previous file
+intact.
 """
 from __future__ import annotations
 
@@ -16,6 +20,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -32,18 +37,19 @@ from .config import (
 )
 from .inference import timed_predict
 from .losses import confusion, metrics
-from .model import CascadeConfig, ConfigError, build_unet
+from .model import ConfigError, build_unet
 from .phantoms import PhantomError, case_paths, generate_dataset, list_cases
 from .training import (
     CheckpointError,
     DatasetError,
     TrainingAbort,
+    load_cascade,
     load_stage_checkpoint,
     train_cascade,
     train_stage,
     train_stage2,
 )
-from .volumes import RvolError, SegMask, read_rvol, write_rvol
+from .volumes import RvolError, SegMask, read_rvol, write_file_atomic, write_rvol
 from .volumetry import compare_methods, tada_measure, tada_volume_ml, voxel_volume_ml
 
 EXIT_OK = 0
@@ -56,22 +62,36 @@ class UsageError(ValueError):
     """Bad invocation: missing inputs, inconsistent flags."""
 
 
-def write_manifest(path, command: str, config: dict, seed, inputs, outputs, started: float) -> Path:
-    manifest = {
-        "command": command,
-        "config": dict(sorted(config.items())),
-        "seed": seed,
-        "inputs": [str(p) for p in inputs],
-        "outputs": [str(p) for p in outputs],
-        "tool_version": __version__,
-        "wall_seconds": round(time.perf_counter() - started, 6),
-    }
+@dataclass
+class Made:
+    """What a command wrote, for ``main`` to record in the manifest at ``manifest``."""
+
+    manifest: Path
+    inputs: list
+    outputs: list
+    config: dict = field(default_factory=dict)
+    seed: int | None = None
+
+
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _write_file(path, text: str) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    return write_file_atomic(path, [text.encode()])
+
+
+def _manifest_beside(out: Path) -> Path:
+    return out.with_name(out.stem + "_manifest.json")
+
+
+def _refuse_directories(*paths) -> None:
+    """Refuse, before any work, an output file path that names a directory."""
+    for path in paths:
+        if path is not None and Path(path).is_dir():
+            raise UsageError(f"output path is a directory: {path}")
 
 
 def _settings(args) -> dict[str, str]:
@@ -97,35 +117,27 @@ def _load_dataset(data_dir):
     for case_id in cases:
         img_path, msk_path = case_paths(d, case_id)
         dataset.append((read_rvol(img_path), _read_mask(msk_path)))
-    return cases, dataset
+    return dataset
 
 
-def cmd_gen_phantoms(args) -> int:
-    started = time.perf_counter()
+def cmd_gen_phantoms(args) -> Made:
     settings = _settings(args)
     if args.count < 0:
         raise UsageError(f"count must be >= 0, got {args.count}")
     spec = phantom_spec_from(settings, seed=args.seed)
     out = Path(args.out)
-    generate_dataset(out, args.count, args.seed, spec)
-    outputs = sorted(str(p) for p in out.glob("case_*.rvol"))
-    write_manifest(
-        out / "manifest.json",
-        "gen-phantoms",
-        settings,
-        args.seed,
-        [args.config] if args.config else [],
-        outputs + [str(out / "dataset.json")],
-        started,
-    )
+    if out.exists() and not out.is_dir():
+        raise UsageError(f"output directory is a file: {out}")
+    records = generate_dataset(out, args.count, args.seed, spec)
+    outputs = [p for r in records for p in case_paths(out, r["case_id"])] + [out / "dataset.json"]
     print(f"wrote {args.count} phantom pairs to {out}")
-    return EXIT_OK
+    return Made(out / "manifest.json", [args.config] if args.config else [], outputs, settings, args.seed)
 
 
-def cmd_train(args) -> int:
-    started = time.perf_counter()
+def cmd_train(args) -> Made:
     settings = _settings(args)
-    _, dataset = _load_dataset(args.data)
+    _refuse_directories(args.out, args.log)
+    dataset = _load_dataset(args.data)
     out = Path(args.out)
     overrides = {"checkpoint_path": str(out), "log_path": args.log}
     if args.seed is not None:
@@ -138,46 +150,15 @@ def cmd_train(args) -> int:
         paths = [train_stage2(build_unet(cascade_cfg.stage2, seed=cfg.seed), dataset, cascade_cfg, cfg)[0]]
     else:
         paths = list(train_cascade(dataset, cascade_cfg, cfg))
-    write_manifest(
-        out.with_name(out.stem + "_manifest.json"),
-        "train",
-        settings,
-        cfg.seed,
-        [args.data] + ([args.config] if args.config else []),
-        [str(p) for p in paths],
-        started,
-    )
     for p in paths:
         print(f"checkpoint: {p}")
-    return EXIT_OK
+    inputs = [args.data] + ([args.config] if args.config else [])
+    return Made(_manifest_beside(out), inputs, paths + ([args.log] if args.log else []), settings, cfg.seed)
 
 
-def _cascade_from_checkpoints(paths, loaded) -> CascadeConfig:
-    """The cascade of two loaded checkpoints, ``loaded`` being (model, meta)
-    per path; checked before any forward.  The first must be a stage-1 and
-    the second a stage-2 checkpoint, and the config they make must validate."""
-    for path, (_, meta), want in zip(paths, loaded, ("1", "2")):
-        got = meta.get("train", {}).get("stage")
-        if got != want:
-            raise UsageError(f"{path}: --model slot {want} needs a stage-{want} checkpoint, this is stage {got!r}")
-    (stage1, _), (stage2, meta2) = loaded
-    info = meta2["train"].get("cascade", {})
-    cascade_cfg = CascadeConfig(
-        stage1=stage1.config,
-        stage2=stage2.config,
-        stage2_input_shape=tuple(info.get("stage2_input_shape", stage2.config.input_patch_shape)),
-        roi_margin_fraction=tuple(info.get("roi_margin_fraction", CascadeConfig.roi_margin_fraction)),
-    )
-    try:
-        cascade_cfg.validate()
-    except ConfigError as exc:
-        raise ConfigError(f"{paths[1]}: {exc}") from exc
-    return cascade_cfg
-
-
-def cmd_infer(args) -> int:
-    started = time.perf_counter()
+def cmd_infer(args) -> Made:
     settings = _settings(args)
+    _refuse_directories(args.output)
     ckpts = [p for p in args.model.split(",") if p]
     if len(ckpts) not in (1, 2):
         raise UsageError(f"--model takes one checkpoint or two comma-separated, got {args.model!r}")
@@ -185,42 +166,24 @@ def cmd_infer(args) -> int:
     if isinstance(image, SegMask):
         raise UsageError(f"{args.input}: --input must be an image volume, not a mask")
     stride = infer_stride_from(settings)
-    stage1, _, meta1 = load_stage_checkpoint(ckpts[0])
-    if stride is not None and any(s > w for s, w in zip(stride, stage1.config.input_patch_shape)):
-        raise UsageError(f"infer.stride {stride} exceeds the stage-1 window {stage1.config.input_patch_shape}")
-    if len(ckpts) == 2:
-        stage2, _, meta2 = load_stage_checkpoint(ckpts[1])
-        cascade_cfg = _cascade_from_checkpoints(ckpts, [(stage1, meta1), (stage2, meta2)])
-        mask, seconds, info = timed_predict(image, stage1, stage2, cascade_cfg, stride=stride)
-    else:
-        mask, seconds, info = timed_predict(image, stage1, stride=stride)
+    models = load_cascade(ckpts) if len(ckpts) == 2 else load_stage_checkpoint(ckpts[0])[:1]
+    window = models[0].config.input_patch_shape
+    if stride is not None and any(s > w for s, w in zip(stride, window)):
+        raise UsageError(f"infer.stride {stride} exceeds the stage-1 window {window}")
+    mask, seconds, info = timed_predict(image, *models, stride=stride)
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_rvol(out, mask)
     sidecar = {
         "input": str(args.input),
-        "mode": info["mode"],
-        "roi_box": info["roi_box"],
-        "patch_count": info["patch_count"],
+        **info,
         "seconds": round(seconds, 6),
         "volume_ml": voxel_volume_ml(mask),
         "foreground_voxels": int(mask.voxels.sum()),
     }
-    sidecar_path = out.with_suffix(".json")
-    with open(sidecar_path, "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    write_manifest(
-        out.with_name(out.stem + "_manifest.json"),
-        "infer",
-        settings,
-        None,
-        [args.input] + ckpts,
-        [str(out), str(sidecar_path)],
-        started,
-    )
+    sidecar_path = _write_file(out.with_suffix(".json"), _json(sidecar))
     print(f"mask: {out} ({sidecar['volume_ml']:.3f} ml, {info['mode']})")
-    return EXIT_OK
+    return Made(_manifest_beside(out), [args.input] + ckpts, [out, sidecar_path], settings)
 
 
 def _mask_cases(directory) -> dict[str, Path]:
@@ -230,7 +193,12 @@ def _mask_cases(directory) -> dict[str, Path]:
     return {p.name[5:-9]: p for p in sorted(d.glob("case_*_msk.rvol"))}
 
 
-def _paired_cases(pred_dir, gt_dir):
+def _mask_pairs(pred_dir, gt_dir):
+    """Yield (case id, prediction path, prediction, ground truth) per case.
+
+    The two directories must hold the same case ids, and each pair must
+    share one grid (shape and spacing); RvolError names what differs.
+    """
     pred, gt = _mask_cases(pred_dir), _mask_cases(gt_dir)
     if set(pred) != set(gt):
         missing_pred = sorted(set(gt) - set(pred))
@@ -240,120 +208,74 @@ def _paired_cases(pred_dir, gt_dir):
         )
     if not pred:
         raise UsageError("no case_*_msk.rvol files to compare")
-    return [(cid, pred[cid], gt[cid]) for cid in sorted(pred)]
+    for cid in sorted(pred):
+        p, g = _read_mask(pred[cid]), _read_mask(gt[cid])
+        if p.voxels.shape != g.voxels.shape or p.spacing_mm != g.spacing_mm:
+            raise RvolError(
+                f"case {cid}: prediction grid {p.voxels.shape} at {p.spacing_mm} mm differs from "
+                f"ground truth {g.voxels.shape} at {g.spacing_mm} mm"
+            )
+        yield cid, pred[cid], p, g
 
 
-def cmd_eval(args) -> int:
-    started = time.perf_counter()
-    pairs = _paired_cases(args.pred, args.gt)
-    per_case = {}
-    for cid, pred_path, gt_path in pairs:
-        pred = _read_mask(pred_path)
-        gt = _read_mask(gt_path)
-        per_case[cid] = metrics(confusion(pred.voxels, gt.voxels))
+def cmd_eval(args) -> Made | None:
+    _refuse_directories(args.out)
+    per_case = {cid: metrics(confusion(p.voxels, g.voxels)) for cid, _, p, g in _mask_pairs(args.pred, args.gt)}
     names = ("dsc", "iou", "precision", "recall")
     mean = {k: float(np.mean([m[k] for m in per_case.values()])) for k in names}
-    payload = {"cases": per_case, "mean": mean, "case_count": len(per_case)}
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    print(text)
-    if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text + "\n")
-        write_manifest(
-            out.with_name(out.stem + "_manifest.json"),
-            "eval",
-            {},
-            None,
-            [args.pred, args.gt],
-            [str(out)],
-            started,
-        )
-    return EXIT_OK
+    text = _json({"cases": per_case, "mean": mean, "case_count": len(per_case)})
+    print(text, end="")
+    if not args.out:
+        return None
+    out = _write_file(args.out, text)
+    return Made(_manifest_beside(out), [args.pred, args.gt], [out])
 
 
-def cmd_volume(args) -> int:
-    started = time.perf_counter()
+def cmd_volume(args) -> Made | None:
+    _refuse_directories(args.out)
     mask = _read_mask(args.mask)
     payload = {"mask": str(args.mask), "spacing_mm": list(mask.spacing_mm)}
-    empty = not mask.voxels.any()
     if args.method in ("voxel", "both"):
         payload["voxel"] = {"volume_ml": voxel_volume_ml(mask)}
     if args.method in ("tada", "both"):
-        if empty:
+        if not mask.voxels.any():
             payload["tada"] = {"status": "no lesion"}
         else:
             m = tada_measure(mask)
-            payload["tada"] = {
-                "status": "ok",
-                "a_mm": m.a_mm,
-                "b_mm": m.b_mm,
-                "c_mm": m.c_mm,
-                "slice_index": m.slice_index,
-                "volume_ml": tada_volume_ml(m),
-            }
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    print(text)
-    if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text + "\n")
-        write_manifest(
-            out.with_name(out.stem + "_manifest.json"),
-            "volume",
-            {"method": args.method},
-            None,
-            [args.mask],
-            [str(out)],
-            started,
-        )
-    return EXIT_OK
+            payload["tada"] = {"status": "ok", **asdict(m), "volume_ml": tada_volume_ml(m)}
+    text = _json(payload)
+    print(text, end="")
+    if not args.out:
+        return None
+    out = _write_file(args.out, text)
+    return Made(_manifest_beside(out), [args.mask], [out], {"method": args.method})
 
 
 def _lesion_classes(gt_dir) -> dict[str, str]:
     path = Path(gt_dir) / "dataset.json"
     if not path.exists():
         return {}
-    with open(path) as fh:
-        payload = json.load(fh)
+    payload = json.loads(path.read_text())
     return {c["case_id"]: c.get("lesion_class", "solitary") for c in payload.get("cases", [])}
 
 
-def cmd_compare_tada(args) -> int:
-    started = time.perf_counter()
-    pairs = _paired_cases(args.pred, args.gt)
+def cmd_compare_tada(args) -> Made | None:
+    _refuse_directories(args.out)
     classes = _lesion_classes(args.gt)
     entries = []
-    for cid, pred_path, gt_path in pairs:
-        entry = {
-            "case_id": cid,
-            "pred": _read_mask(pred_path),
-            "gt": _read_mask(gt_path),
-            "lesion_class": classes.get(cid, "solitary"),
-        }
+    for cid, pred_path, pred, gt in _mask_pairs(args.pred, args.gt):
+        entry = {"case_id": cid, "pred": pred, "gt": gt, "lesion_class": classes.get(cid, "solitary")}
         sidecar = pred_path.with_suffix(".json")
         if sidecar.exists():
-            with open(sidecar) as fh:
-                entry["model_seconds"] = json.load(fh).get("seconds")
+            entry["model_seconds"] = json.loads(sidecar.read_text()).get("seconds")
         entries.append(entry)
     report = compare_methods(entries)
     print(report.to_text(), end="")
-    if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(report.to_json() + "\n")
-        table_path = out.with_suffix(".txt")
-        table_path.write_text(report.to_text())
-        write_manifest(
-            out.with_name(out.stem + "_manifest.json"),
-            "compare-tada",
-            {},
-            None,
-            [args.pred, args.gt],
-            [str(out), str(table_path)],
-            started,
-        )
-    return EXIT_OK
+    if not args.out:
+        return None
+    out = _write_file(args.out, report.to_json() + "\n")
+    table_path = _write_file(out.with_suffix(".txt"), report.to_text())
+    return Made(_manifest_beside(out), [args.pred, args.gt], [out, table_path])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -412,9 +334,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.run(args)
+        made = args.run(args)
+        if made is not None:
+            manifest = {
+                "argv": argv,
+                "command": args.cmd,
+                "config": made.config,
+                "seed": made.seed,
+                "inputs": [str(p) for p in made.inputs],
+                "outputs": [str(p) for p in made.outputs],
+                "tool_version": __version__,
+                "wall_seconds": round(time.perf_counter() - started, 6),
+            }
+            _write_file(made.manifest, _json(manifest))
     except (UsageError, ConfigFileError, ConfigError, DatasetError, FileNotFoundError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -424,6 +360,7 @@ def main(argv=None) -> int:
     except (TrainingAbort, PhantomError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Six-level residual encoder-decoder for volumetric segmentation.
+"""Residual encoder-decoder with a configurable number of levels, for volumetric segmentation.
 
 The network is described by a declarative config: per-level channel widths,
 per-level downsampling factors (applied on entry to each level, so a config

@@ -8,12 +8,12 @@ Voxel (d,h,w) is classified by its center point (index + 0.5) * spacing.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .volumes import SegMask, VolumeImage, write_rvol
+from .volumes import SegMask, VolumeImage, write_file_atomic, write_rvol
 
 AIR_HU = -1000.0
 BRAIN_FRACTION = 0.92  # brain semi-axes as a fraction of the half-extents
@@ -127,16 +127,7 @@ def generate_dataset(out_dir, count: int, seed: int, template: PhantomSpec) -> l
     cases = []
     for i in range(count):
         case_seed = int(np.random.SeedSequence([int(seed), i]).generate_state(1)[0])
-        spec = PhantomSpec(
-            shape=template.shape,
-            spacing_mm=template.spacing_mm,
-            lesion_count_range=template.lesion_count_range,
-            semi_axes_mm_range=template.semi_axes_mm_range,
-            lesion_hu_range=template.lesion_hu_range,
-            background_hu=template.background_hu,
-            noise_sigma_hu=template.noise_sigma_hu,
-            seed=case_seed,
-        )
+        spec = replace(template, seed=case_seed)
         image, mask, record = generate_phantom(spec)
         case_id = f"{i:04d}"
         img_path, msk_path = case_paths(out, case_id)
@@ -144,8 +135,8 @@ def generate_dataset(out_dir, count: int, seed: int, template: PhantomSpec) -> l
         write_rvol(msk_path, mask)
         record.update({"case_id": case_id, "seed": case_seed})
         cases.append(record)
-    with open(out / "dataset.json", "w") as fh:
-        json.dump({"count": count, "seed": int(seed), "cases": cases}, fh, indent=2, sort_keys=True)
+    listing = json.dumps({"count": count, "seed": int(seed), "cases": cases}, indent=2, sort_keys=True)
+    write_file_atomic(out / "dataset.json", [listing.encode()])
     return cases
 
 

@@ -36,7 +36,7 @@ from . import __version__
 from .augment import AugmentPolicy, augment, hu_window, zscore_normalize
 from .inference import RoiBox, extract_roi
 from .losses import deep_supervision_loss
-from .model import ConfigError, UNet3D, UNet3DConfig, build_unet
+from .model import CascadeConfig, ConfigError, UNet3D, UNet3DConfig, build_unet
 from .optim import AdamW, CosineWarmRestarts
 from .volumes import resize_nearest, resize_trilinear, write_file_atomic
 
@@ -201,8 +201,9 @@ def save_stage_checkpoint(path, model: UNet3D, optimizer: AdamW | None, train_me
 def load_stage_checkpoint(path) -> tuple[UNet3D, dict[str, np.ndarray], dict]:
     """Rebuild the model from a checkpoint; returns (model, optimizer arrays, meta).
 
-    A recorded config that does not validate, or state arrays whose names or
-    shapes do not fit the model it builds, raise CheckpointError naming the file.
+    Model metadata that cannot build a model (a missing or mistyped field, a
+    config that does not validate), or state arrays whose names or shapes do
+    not fit the model it builds, raise CheckpointError naming the file.
     """
     arrays, meta = load_checkpoint(path)
     if "model" not in meta:
@@ -214,6 +215,8 @@ def load_stage_checkpoint(path) -> tuple[UNet3D, dict[str, np.ndarray], dict]:
         model.load_state_arrays(model_arrays)
     except ConfigError as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: malformed model metadata: {type(exc).__name__}: {exc}") from exc
     return model, optim_arrays, meta
 
 
@@ -393,6 +396,33 @@ def _cascade_meta(cascade_cfg) -> dict:
             "stage2_input_shape": list(cascade_cfg.stage2_input_shape),
         }
     }
+
+
+def load_cascade(paths) -> tuple[UNet3D, UNet3D, CascadeConfig]:
+    """Load a stage-1 and a stage-2 checkpoint as one cascade, checked before any forward.
+
+    The first path must hold a stage-1 and the second a stage-2 checkpoint,
+    and the cascade config they make (from the stage-2 ``train.cascade``
+    metadata) must validate; otherwise ConfigError names the file.
+    """
+    loaded = [load_stage_checkpoint(path) for path in paths]
+    for path, (_, _, meta), want in zip(paths, loaded, ("1", "2")):
+        got = meta.get("train", {}).get("stage")
+        if got != want:
+            raise ConfigError(f"{path}: --model slot {want} needs a stage-{want} checkpoint, this is stage {got!r}")
+    (stage1, _, _), (stage2, _, meta2) = loaded
+    info = meta2["train"].get("cascade", {})
+    cascade_cfg = CascadeConfig(
+        stage1=stage1.config,
+        stage2=stage2.config,
+        stage2_input_shape=tuple(info.get("stage2_input_shape", stage2.config.input_patch_shape)),
+        roi_margin_fraction=tuple(info.get("roi_margin_fraction", CascadeConfig.roi_margin_fraction)),
+    )
+    try:
+        cascade_cfg.validate()
+    except ConfigError as exc:
+        raise ConfigError(f"{paths[1]}: {exc}") from exc
+    return stage1, stage2, cascade_cfg
 
 
 def _stage2_candidates(prepared) -> list[int]:

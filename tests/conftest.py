@@ -16,8 +16,8 @@ def make_rng(seed):
 @pytest.fixture
 def fill_disk(monkeypatch):
     """Call it to make every file the package writes from then on fail after
-    its first 16 bytes, as on a full disk; it returns the list of the paths
-    whose writes were cut short."""
+    its first 16 bytes, as on a full disk (reads are left alone); it returns
+    the list of the paths whose writes were cut short."""
     from hemoseg import volumes
 
     def fill():
@@ -40,7 +40,10 @@ def fill_disk(monkeypatch):
                 cut.append(self.path)
                 raise OSError(errno.ENOSPC, "No space left on device")
 
-        monkeypatch.setattr(volumes, "open", Truncating, raising=False)
+        def opener(path, mode="r", *args, **kwargs):
+            return Truncating(path, mode) if "w" in mode else real_open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(volumes, "open", opener, raising=False)
         return cut
 
     return fill

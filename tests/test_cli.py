@@ -328,6 +328,66 @@ class TestCompareTada:
         assert "missing from predictions" in capsys.readouterr().err
 
 
+def _file_states(root: Path) -> dict[Path, tuple]:
+    # an atomic write replaces the inode; an append changes size and mtime
+    return {p: (p.stat().st_ino, p.stat().st_mtime_ns, p.stat().st_size) for p in root.rglob("*") if p.is_file()}
+
+
+class TestManifest:
+    def test_lists_exactly_the_files_written(self, tmp_path, capsys):
+        data, runs, pred, rep = (tmp_path / d for d in ("data", "runs", "pred", "rep"))
+        runs.mkdir()
+        regen = tmp_path / "regen"
+        commands = [
+            (["gen-phantoms", "--out", str(data), "--count", "2", "--seed", "7"], data / "manifest.json"),
+            (["gen-phantoms", "--out", str(regen), "--count", "2", "--seed", "7"], regen / "manifest.json"),
+            # a smaller rerun into the same directory lists only its own cases
+            (["gen-phantoms", "--out", str(regen), "--count", "1", "--seed", "7"], regen / "manifest.json"),
+            (["train", "--data", str(data), "--stage", "1", "--out", str(runs / "s1.hsck"), "--seed", "1",
+              "--log", str(runs / "s1.jsonl"), *FAST_TRAIN], runs / "s1_manifest.json"),
+            (["train", "--data", str(data), "--stage", "cascade", "--out", str(runs / "c.hsck"), "--seed", "1",
+              *FAST_TRAIN], runs / "c_manifest.json"),
+            *[(["infer", "--model", str(runs / "s1.hsck"), "--input", str(data / f"case_{i}_img.rvol"),
+                "--output", str(pred / f"case_{i}_msk.rvol")], pred / f"case_{i}_msk_manifest.json")
+              for i in ("0000", "0001")],
+            (["eval", "--pred", str(pred), "--gt", str(data), "--out", str(rep / "e.json")], rep / "e_manifest.json"),
+            (["volume", "--mask", str(pred / "case_0000_msk.rvol"), "--out", str(rep / "v.json")],
+             rep / "v_manifest.json"),
+            (["compare-tada", "--pred", str(pred), "--gt", str(data), "--out", str(rep / "c.json")],
+             rep / "c_manifest.json"),
+        ]
+        for argv, manifest_path in commands:
+            before = _file_states(tmp_path)
+            assert main(argv) == EXIT_OK
+            after = _file_states(tmp_path)
+            written = {p for p, state in after.items() if before.get(p) != state}
+            manifest = json.loads(manifest_path.read_text())
+            assert manifest["argv"] == argv
+            assert manifest["command"] == argv[0]
+            assert {Path(p) for p in manifest["outputs"]} | {manifest_path} == written, argv[0]
+        capsys.readouterr()
+
+    def test_failed_report_write_keeps_previous_files(self, tmp_path, phantom_dir, fill_disk, capsys):
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        for p in phantom_dir.glob("case_*_msk.rvol"):
+            (pred / p.name).write_bytes(p.read_bytes())
+        rep = tmp_path / "rep"
+        out = rep / "metrics.json"
+        assert main(["eval", "--pred", str(pred), "--gt", str(phantom_dir), "--out", str(out)]) == EXIT_OK
+        previous = {p: p.read_bytes() for p in rep.iterdir()}
+        assert set(previous) == {out, rep / "metrics_manifest.json"}
+        first = sorted(pred.glob("case_*_msk.rvol"))[0]
+        gt = read_rvol(first)
+        write_rvol(first, SegMask(np.zeros_like(gt.voxels), gt.spacing_mm))  # the new report would differ
+        cut = fill_disk()
+        with pytest.raises(OSError):
+            main(["eval", "--pred", str(pred), "--gt", str(phantom_dir), "--out", str(out)])
+        assert cut
+        assert {p: p.read_bytes() for p in rep.iterdir()} == previous
+        capsys.readouterr()
+
+
 class TestParser:
     def test_no_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -377,6 +437,19 @@ BAD_INVOCATIONS = [
      EXIT_USAGE, "run_stage1.hsck: --model slot 2 needs a stage-2 checkpoint"),
     ("nan-image", ["infer", "--model", "{ckpt},{s2}", "--input", "{nan}", "--output", "{tmp}/o.rvol"],
      EXIT_NUMERIC, "non-finite"),
+    *[(f"meta-{name}", ["infer", "--model", f"{{{name}}}", "--input", "{image}", "--output", "{tmp}/o.rvol"],
+       EXIT_DATA, f"{name}.hsck: malformed model metadata")
+      for name in ("no_levels", "string_levels", "unknown_key", "string_seed", "list_model")],
+    ("eval-grid-mismatch", ["eval", "--pred", "{tiny}", "--gt", "{data}"], EXIT_DATA, "case 0000: prediction grid"),
+    ("compare-tada-grid-mismatch", ["compare-tada", "--pred", "{tiny}", "--gt", "{data}"],
+     EXIT_DATA, "case 0000: prediction grid"),
+    ("train-out-directory", ["train", "--data", "{data}", "--out", "{tmp}", "--log", "{tmp}/log.jsonl", *FAST_TRAIN],
+     EXIT_USAGE, "output path is a directory"),
+    ("infer-output-directory", ["infer", "--model", "{ckpt}", "--input", "{image}", "--output", "{tmp}"],
+     EXIT_USAGE, "output path is a directory"),
+    ("gen-phantoms-out-file", ["gen-phantoms", "--out", "{cfg}", "--count", "1"], EXIT_USAGE, "is a file"),
+    ("removed-in-channels", ["train", "--data", "{data}", "--out", "{tmp}/x.hsck", "--set", "model.in_channels=2"],
+     EXIT_USAGE, "model.in_channels"),
 ]
 
 
@@ -389,15 +462,31 @@ def no_foreground_dir(tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
-def bad_inputs(tmp_path_factory, cascade_ckpts):
-    """Stage-1 checkpoints with one batch-norm buffer reshaped, and an all-NaN image."""
+def bad_inputs(tmp_path_factory, cascade_ckpts, phantom_dir):
+    """Stage-1 checkpoints with one batch-norm buffer reshaped or with malformed
+    model metadata, an all-NaN image, and masks on a smaller grid than the
+    phantoms' for every phantom case."""
     out = tmp_path_factory.mktemp("cli_bad")
     arrays, meta = load_checkpoint(cascade_ckpts[0])
     for n in (1, 3):
         bad = dict(arrays, **{"dec.0.block.bn1.running_var": np.ones(n, dtype=np.float32)})
         save_checkpoint(out / f"var{n}.hsck", bad, meta)
+    metas = {name: json.loads(json.dumps(meta)) for name in
+             ("no_levels", "string_levels", "unknown_key", "string_seed", "list_model")}
+    del metas["no_levels"]["model"]["config"]["levels"]
+    metas["string_levels"]["model"]["config"]["levels"] = "3"
+    metas["unknown_key"]["model"]["config"]["depth"] = 3
+    metas["string_seed"]["model"]["seed"] = "x"
+    metas["list_model"]["model"] = []
+    for name, bad_meta in metas.items():
+        save_checkpoint(out / f"{name}.hsck", arrays, bad_meta)
     write_rvol(out / "nan.rvol", VolumeImage(np.full((16, 64, 64), np.nan, np.float32), (5.0, 1.0, 1.0)))
-    return {"var1": out / "var1.hsck", "var3": out / "var3.hsck", "nan": out / "nan.rvol"}
+    tiny = out / "tiny"
+    tiny.mkdir()
+    for p in phantom_dir.glob("case_*_msk.rvol"):
+        write_rvol(tiny / p.name, SegMask(np.ones((2, 3, 3), np.uint8), (5.0, 1.0, 1.0)))
+    return {"var1": out / "var1.hsck", "var3": out / "var3.hsck", "nan": out / "nan.rvol", "tiny": tiny,
+            **{name: out / f"{name}.hsck" for name in metas}}
 
 
 @pytest.mark.parametrize("argv,code,names", [c[1:] for c in BAD_INVOCATIONS], ids=[c[0] for c in BAD_INVOCATIONS])
