@@ -386,10 +386,10 @@ class _ConvPlan:
         if self.stride1:
             self.grid = self.padded
             plane, row = self.grid[1] * self.grid[2], self.grid[2]
-            self.offsets = [i * plane + j * row for i in range(kd) for j in range(kh)]
+            self.offsets = tuple(i * plane + j * row for i in range(kd) for j in range(kh))
             self.w_axes = (2, 3, 0, 4, 1)
         else:
-            self.grid, self.offsets = self.out, [0]
+            self.grid, self.offsets = self.out, (0,)
             self.w_axes = (0, 2, 3, 4, 1)
         self.cols = n * self.grid[0] * self.grid[1] * self.grid[2]
         self.rows = self.cols - self.offsets[-1]
@@ -452,10 +452,17 @@ class _ConvPlan:
         return gxp[_ALL + inside].transpose(1, 0, 2, 3, 4)
 
 
+@functools.lru_cache(maxsize=256)
+def _conv_plan(xshape, wshape, stride, padding) -> _ConvPlan:
+    """The ``_ConvPlan`` of one conv shape, built once: a plan is a pure
+    function of the shapes and is never changed after ``__init__``."""
+    return _ConvPlan(xshape, wshape, stride, padding)
+
+
 def _conv_forward(x, w, b, stride, padding):
     """conv3d on arrays: x [N,C,D,H,W], w [K,C,kd,kh,kw], bias b or None;
     returns a C-contiguous [N,K,do,ho,wo] array."""
-    plan = _ConvPlan(x.shape, w.shape, stride, padding)
+    plan = _conv_plan(x.shape, w.shape, tuple(stride), tuple(padding))
     k = plan.k
     dtype = np.result_type(x, w)
     cols = plan.gather(x)
@@ -570,7 +577,7 @@ def conv3d(
             _accum(bias, g.sum(axis=(0, 2, 3, 4)))
         need_w = weight.requires_grad or weight.record is not None
         need_x = x.requires_grad or x.record is not None
-        plan = _ConvPlan(x.shape, weight.shape, stride, padding)
+        plan = _conv_plan(x.shape, weight.shape, tuple(stride), tuple(padding))
         g_cols = plan.on_grid(g) if need_w or (need_x and not plan.stride1) else None
         if need_w:
             _accum(weight, plan.weight_grad(x.data, g_cols))

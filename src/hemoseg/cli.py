@@ -144,6 +144,8 @@ def cmd_train(args) -> Made:
         overrides["seed"] = args.seed
     cfg = train_config_from(settings, **overrides)
     cascade_cfg = cascade_config_from(settings)
+    if args.log:
+        Path(args.log).parent.mkdir(parents=True, exist_ok=True)
     if args.stage == "1":
         paths = [train_stage(build_unet(cascade_cfg.stage1, seed=cfg.seed), dataset, cfg)[0]]
     elif args.stage == "2":

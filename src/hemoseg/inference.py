@@ -71,20 +71,29 @@ def decompose(volume_shape, window, stride) -> PatchGrid:
 def recompose_average(patch_probs, grid: PatchGrid, num_channels: int) -> np.ndarray:
     """Per-voxel arithmetic mean of all covering patches.
 
+    ``patch_probs`` is any iterable of patches, one per grid origin in
+    order; a generator is consumed as the mean is built, so the patches are
+    never held at once.  A patch count that differs from the origin count
+    raises ValueError once the patches run out.
+
     Uses an incremental (running) mean, so voxels whose covering patches all
     agree come out exactly equal to that value: no seams from float division.
     """
-    if len(patch_probs) != len(grid.origins):
-        raise ValueError(f"got {len(patch_probs)} patches for {len(grid.origins)} grid origins")
     mean = np.zeros((num_channels,) + grid.volume_shape, dtype=np.float64)
     count = np.zeros(grid.volume_shape, dtype=np.int64)
-    for prob, origin in zip(patch_probs, grid.origins):
+    patches = iter(patch_probs)
+    got = 0
+    for origin, prob in zip(grid.origins, patches):
+        got += 1
         prob = np.asarray(prob, dtype=np.float64)
         if prob.shape != (num_channels,) + grid.window:
             raise ShapeError(f"patch shape {prob.shape} != {(num_channels,) + grid.window}")
         region = tuple(slice(o, o + w) for o, w in zip(origin, grid.window))
         count[region] += 1
         mean[(slice(None),) + region] += (prob - mean[(slice(None),) + region]) / count[region]
+    got += sum(1 for _ in patches)  # any patches past the last origin
+    if got != len(grid.origins):
+        raise ValueError(f"got {got} patches for {len(grid.origins)} grid origins")
     if count.min() < 1:
         raise RuntimeError("grid left voxels uncovered")
     return mean
@@ -104,8 +113,9 @@ def sliding_window_predict(model, image: VolumeImage, stride=None) -> np.ndarray
     """Whole-volume class probabilities [C,D,H,W] from overlapping patches.
 
     The image is HU-windowed once; each patch is z-score normalized
-    independently, exactly as during training.  The model is switched to
-    eval mode; its batch-norm statistics must already be populated.
+    independently, exactly as during training.  Patch outputs stream into
+    the running mean one at a time.  The model is switched to eval mode;
+    its batch-norm statistics must already be populated.
     Raises FloatingPointError when the recomposed probabilities are not all
     finite, as when the image holds NaN voxels (windowing clamps infinities)
     or the weights are not finite.
@@ -116,12 +126,14 @@ def sliding_window_predict(model, image: VolumeImage, stride=None) -> np.ndarray
     grid = _window_grid(windowed.shape, window, stride)
     padded = pad_to_shape(windowed, grid.volume_shape, PAD_VALUE)
     lead = tuple((p - o) // 2 for p, o in zip(padded.shape, windowed.shape))
-    patches = []
-    for origin in grid.origins:
-        region = tuple(slice(o, o + w) for o, w in zip(origin, window))
-        x = zscore_normalize(padded[region])[None, None]
-        patches.append(model(Tensor(x))["final"].data[0])
-    probs = recompose_average(patches, grid, model.config.out_channels)
+
+    def patches():
+        for origin in grid.origins:
+            region = tuple(slice(o, o + w) for o, w in zip(origin, window))
+            x = zscore_normalize(padded[region])[None, None]
+            yield model(Tensor(x))["final"].data[0]
+
+    probs = recompose_average(patches(), grid, model.config.out_channels)
     if not np.isfinite(probs).all():
         raise FloatingPointError("non-finite sliding-window probabilities (NaN voxels in the image, or bad weights)")
     crop = tuple(slice(l, l + n) for l, n in zip(lead, windowed.shape))

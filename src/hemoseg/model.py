@@ -248,6 +248,7 @@ class BatchNorm3dLayer(_Module):
         self.gamma = Tensor(np.ones(channels, dtype=np.float32), requires_grad=True)
         self.beta = Tensor(np.zeros(channels, dtype=np.float32), requires_grad=True)
         self.stats = BatchNormStats(channels)
+        self.folded: tuple[Tensor, Tensor] | None = None
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.batch_norm3d(x, self.gamma, self.beta, self.stats, train=True)
@@ -259,8 +260,11 @@ class BatchNorm3dLayer(_Module):
         ``w * s`` (per output channel) and the bias ``beta + (b - mean) * s``
         (Jacob et al. 2018, "Quantization and Training of Neural Networks for
         Efficient Integer-Arithmetic-Only Inference", sec. 3.2).  Computed in
-        float64 from the current parameters on every call, so nothing cached
-        can go stale; the results are constants in the conv weight's dtype.
+        float64 from the current parameters; the results are constants in the
+        conv weight's dtype.  The eval forward stores them in ``folded`` at
+        its first call and reuses them until ``UNet3D.eval()``, ``train()``
+        or ``load_state_arrays()`` drops them, so an edit to the parameters
+        or stats shows only after one of those.
         """
         if self.stats.batches_tracked[0] == 0:
             raise RuntimeError("batch_norm3d: eval mode before any running-stat update")
@@ -282,10 +286,14 @@ class BatchNorm3dLayer(_Module):
 
 
 def _conv_bn(conv: Conv3dLayer, bn: BatchNorm3dLayer, x: Tensor, train: bool) -> Tensor:
-    """``bn(conv(x))`` in train mode; in eval mode one conv with the batch norm folded in."""
+    """``bn(conv(x))`` in train mode; in eval mode one conv with the batch
+    norm folded in, reusing ``bn.folded`` once stored."""
     if train:
         return bn(conv(x))
-    return conv(x, *bn.fold(conv))
+    folded = bn.folded
+    if folded is None:
+        folded = bn.folded = bn.fold(conv)
+    return conv(x, *folded)
 
 
 class ResidualBlock(_Module):
@@ -332,9 +340,14 @@ class DecoderStage(_Module):
 class UNet3D(_Module):
     """The full network; ``training`` switches between the two forwards.
 
-    Eval-mode forward does not mutate the model and may be shared across
-    threads; train-mode forward updates batch-norm running stats and needs
-    exclusive access.
+    Eval-mode forward changes no parameter or buffer.  Its one write is the
+    folded conv weight and bias each batch norm stores at the first eval
+    forward (``BatchNorm3dLayer.folded``); ``eval()``, ``train()`` and
+    ``load_state_arrays()`` drop them, so each inference call that starts
+    with ``eval()`` folds once from the current parameters.  It may be
+    shared across threads: threads racing on a first fold each store the
+    same constants.  Train-mode forward updates batch-norm running stats and
+    needs exclusive access.
     """
 
     def __init__(self, config: UNet3DConfig, seed: int):
@@ -371,11 +384,18 @@ class UNet3D(_Module):
 
     def train(self) -> "UNet3D":
         self.training = True
+        self._drop_folds()
         return self
 
     def eval(self) -> "UNet3D":
         self.training = False
+        self._drop_folds()
         return self
+
+    def _drop_folds(self) -> None:
+        for _, mod in self.named_modules():
+            if isinstance(mod, BatchNorm3dLayer):
+                mod.folded = None
 
     def parameters(self):
         return [t for _, t in self.named_parameters()]
@@ -395,8 +415,9 @@ class UNet3D(_Module):
         return items
 
     def load_state_arrays(self, items: dict[str, np.ndarray]) -> None:
-        """Restore state saved by ``state_arrays`` in place; missing or extra
-        names and shape mismatches raise ConfigError before anything is written."""
+        """Restore state saved by ``state_arrays`` in place, and drop the
+        stored batch-norm folds; missing or extra names and shape mismatches
+        raise ConfigError before anything is written."""
         expected = self.state_arrays()
         missing = sorted(set(expected) - set(items))
         extra = sorted(set(items) - set(expected))
@@ -407,6 +428,7 @@ class UNet3D(_Module):
                 raise ConfigError(f"shape mismatch for {name}: {expected[name].shape} vs {arr.shape}")
         for name, arr in items.items():
             expected[name][...] = arr
+        self._drop_folds()
 
     def _head(self, level: int) -> Conv3dLayer:
         return self.heads[self._head_levels.index(level)]
@@ -423,7 +445,8 @@ class UNet3D(_Module):
         Eval mode is the inference forward and returns ``aux == []``: it
         computes only the final head, and each conv with its batch norm
         runs as one conv whose weight and bias fold in the running stats
-        (``BatchNorm3dLayer.fold``); that fold is the only eval batch norm.
+        (``BatchNorm3dLayer.fold``, computed once after each ``eval()``);
+        that fold is the only eval batch norm.
         It hands the ops only constants (the folded and detached
         parameters), so it builds no autograd graph unless ``x`` itself asks
         for gradients.  It raises RuntimeError if no train-mode forward ever

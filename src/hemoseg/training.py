@@ -403,25 +403,32 @@ def load_cascade(paths) -> tuple[UNet3D, UNet3D, CascadeConfig]:
 
     The first path must hold a stage-1 and the second a stage-2 checkpoint,
     and the cascade config they make (from the stage-2 ``train.cascade``
-    metadata) must validate; otherwise ConfigError names the file.
+    metadata) must validate; otherwise ConfigError names the file.  ``train``
+    metadata of the wrong type (not an object, a cascade field that is not
+    a sequence of numbers) raises CheckpointError naming the file.
     """
     loaded = [load_stage_checkpoint(path) for path in paths]
     for path, (_, _, meta), want in zip(paths, loaded, ("1", "2")):
-        got = meta.get("train", {}).get("stage")
+        train = meta.get("train", {})
+        if not isinstance(train, dict):
+            raise CheckpointError(f"{path}: malformed train metadata: a {type(train).__name__}, not an object")
+        got = train.get("stage")
         if got != want:
             raise ConfigError(f"{path}: --model slot {want} needs a stage-{want} checkpoint, this is stage {got!r}")
     (stage1, _, _), (stage2, _, meta2) = loaded
-    info = meta2["train"].get("cascade", {})
-    cascade_cfg = CascadeConfig(
-        stage1=stage1.config,
-        stage2=stage2.config,
-        stage2_input_shape=tuple(info.get("stage2_input_shape", stage2.config.input_patch_shape)),
-        roi_margin_fraction=tuple(info.get("roi_margin_fraction", CascadeConfig.roi_margin_fraction)),
-    )
     try:
+        info = meta2["train"].get("cascade", {})
+        cascade_cfg = CascadeConfig(
+            stage1=stage1.config,
+            stage2=stage2.config,
+            stage2_input_shape=tuple(info.get("stage2_input_shape", stage2.config.input_patch_shape)),
+            roi_margin_fraction=tuple(info.get("roi_margin_fraction", CascadeConfig.roi_margin_fraction)),
+        )
         cascade_cfg.validate()
     except ConfigError as exc:
         raise ConfigError(f"{paths[1]}: {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{paths[1]}: malformed train metadata: {type(exc).__name__}: {exc}") from exc
     return stage1, stage2, cascade_cfg
 
 

@@ -129,6 +129,14 @@ class TestTrain:
         _, _, meta = load_stage_checkpoint(out)
         assert meta["train"]["next_step"] == 1
 
+    def test_log_into_a_missing_directory(self, tmp_path, phantom_dir):
+        log = tmp_path / "runs" / "s1.jsonl"
+        rc = main(["train", "--data", str(phantom_dir), "--stage", "1", "--out", str(tmp_path / "s1.hsck"),
+                   "--log", str(log), *FAST_TRAIN])
+        assert rc == EXIT_OK
+        lines = log.read_text().splitlines()
+        assert [json.loads(line)["step"] for line in lines] == [0, 1]
+
 
 class TestInfer:
     def test_cascade_outputs(self, tmp_path, phantom_dir, cascade_ckpts):
@@ -450,6 +458,9 @@ BAD_INVOCATIONS = [
     ("gen-phantoms-out-file", ["gen-phantoms", "--out", "{cfg}", "--count", "1"], EXIT_USAGE, "is a file"),
     ("removed-in-channels", ["train", "--data", "{data}", "--out", "{tmp}/x.hsck", "--set", "model.in_channels=2"],
      EXIT_USAGE, "model.in_channels"),
+    *[(f"train-meta-{name}", ["infer", "--model", f"{{ckpt}},{{{name}}}", "--input", "{image}",
+                              "--output", "{tmp}/o.rvol"], EXIT_DATA, f"{name}.hsck: malformed train metadata")
+      for name in ("list_train", "int_stage2_shape")],
 ]
 
 
@@ -464,8 +475,9 @@ def no_foreground_dir(tmp_path_factory):
 @pytest.fixture(scope="session")
 def bad_inputs(tmp_path_factory, cascade_ckpts, phantom_dir):
     """Stage-1 checkpoints with one batch-norm buffer reshaped or with malformed
-    model metadata, an all-NaN image, and masks on a smaller grid than the
-    phantoms' for every phantom case."""
+    model metadata, stage-2 checkpoints with malformed train metadata, an
+    all-NaN image, and masks on a smaller grid than the phantoms' for every
+    phantom case."""
     out = tmp_path_factory.mktemp("cli_bad")
     arrays, meta = load_checkpoint(cascade_ckpts[0])
     for n in (1, 3):
@@ -480,13 +492,19 @@ def bad_inputs(tmp_path_factory, cascade_ckpts, phantom_dir):
     metas["list_model"]["model"] = []
     for name, bad_meta in metas.items():
         save_checkpoint(out / f"{name}.hsck", arrays, bad_meta)
+    arrays2, meta2 = load_checkpoint(cascade_ckpts[1])
+    train_metas = {name: json.loads(json.dumps(meta2)) for name in ("list_train", "int_stage2_shape")}
+    train_metas["list_train"]["train"] = []
+    train_metas["int_stage2_shape"]["train"]["cascade"]["stage2_input_shape"] = 5
+    for name, bad_meta in train_metas.items():
+        save_checkpoint(out / f"{name}.hsck", arrays2, bad_meta)
     write_rvol(out / "nan.rvol", VolumeImage(np.full((16, 64, 64), np.nan, np.float32), (5.0, 1.0, 1.0)))
     tiny = out / "tiny"
     tiny.mkdir()
     for p in phantom_dir.glob("case_*_msk.rvol"):
         write_rvol(tiny / p.name, SegMask(np.ones((2, 3, 3), np.uint8), (5.0, 1.0, 1.0)))
     return {"var1": out / "var1.hsck", "var3": out / "var3.hsck", "nan": out / "nan.rvol", "tiny": tiny,
-            **{name: out / f"{name}.hsck" for name in metas}}
+            **{name: out / f"{name}.hsck" for name in (*metas, *train_metas)}}
 
 
 @pytest.mark.parametrize("argv,code,names", [c[1:] for c in BAD_INVOCATIONS], ids=[c[0] for c in BAD_INVOCATIONS])

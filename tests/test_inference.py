@@ -146,6 +146,23 @@ class TestRecompose:
         with pytest.raises(ValueError, match="1 grid origins"):
             recompose_average([], grid, 1)
 
+    def test_generator_matches_list(self):
+        grid = decompose((6, 8, 8), (4, 4, 4), (2, 3, 3))
+        rng = np.random.default_rng(3)
+        patches = [rng.random((2, 4, 4, 4)).astype(np.float32) for _ in grid.origins]
+        want = recompose_average(patches, grid, 2)
+        np.testing.assert_array_equal(recompose_average((p for p in patches), grid, 2), want)
+
+    def test_too_few_or_too_many_patches_from_a_generator(self):
+        grid = decompose((4, 4, 6), (4, 4, 4), (4, 4, 2))
+        patch = np.full((1, 4, 4, 4), 0.5)
+        with pytest.raises(ValueError, match="got 1 patches for 2 grid origins"):
+            recompose_average((patch for _ in range(1)), grid, 1)
+        with pytest.raises(ValueError, match="got 3 patches for 2 grid origins"):
+            recompose_average((patch for _ in range(3)), grid, 1)
+        with pytest.raises(ValueError, match="got 3 patches for 2 grid origins"):
+            recompose_average([patch] * 3, grid, 1)
+
     def test_patch_shape_mismatch(self):
         grid = decompose((4, 4, 4), (4, 4, 4), (4, 4, 4))
         with pytest.raises(ShapeError):

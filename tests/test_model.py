@@ -9,6 +9,7 @@ import oracles
 from hemoseg import autodiff as ad
 from hemoseg import model
 from hemoseg.autodiff import ShapeError, Tensor, mul
+from hemoseg.inference import sliding_window_predict
 from hemoseg.model import (
     CascadeConfig,
     ConfigError,
@@ -19,6 +20,7 @@ from hemoseg.model import (
     toy_cascade_config,
     toy_config,
 )
+from hemoseg.volumes import VolumeImage
 
 
 def levels1_config():
@@ -321,6 +323,90 @@ class TestEvalForward:
         assert not any(t.is_alive() for t in threads)
         for a, b in zip(serial, threaded):
             np.testing.assert_array_equal(a, b)
+
+
+def fresh_eval_output(net, x):
+    """The eval output of a newly built net holding ``net``'s state."""
+    other = build_unet(net.config, seed=net.seed + 1)
+    other.load_state_arrays({k: v.copy() for k, v in net.state_arrays().items()})
+    return other.eval()(x)["final"].data
+
+
+class TestStoredFolds:
+    def test_one_fold_per_batch_norm_per_sliding_window_call(self, rng, monkeypatch):
+        net = trained_stats_net(rng)
+        n_bn = sum(isinstance(m, model.BatchNorm3dLayer) for _, m in net.named_modules())
+        folds = []
+        real_fold = model.BatchNorm3dLayer.fold
+
+        def counting_fold(bn, conv):
+            folds.append(bn)
+            return real_fold(bn, conv)
+
+        monkeypatch.setattr(model.BatchNorm3dLayer, "fold", counting_fold)
+        image = VolumeImage(rng.normal(40.0, 20.0, size=(12, 48, 48)).astype(np.float32), (5.0, 1.0, 1.0))
+        calls = []
+        real_forward = model.UNet3D.forward
+        monkeypatch.setattr(model.UNet3D, "__call__", lambda self, x: calls.append(x) or real_forward(self, x))
+        sliding_window_predict(net, image)
+        assert len(calls) > 1
+        assert len(folds) == n_bn and len(set(map(id, folds))) == n_bn
+        sliding_window_predict(net, image)  # eval() again: a second call folds afresh
+        assert len(folds) == 2 * n_bn
+
+    def test_load_in_eval_mode_matches_a_fresh_net(self, rng):
+        net = trained_stats_net(rng)
+        x = Tensor(rng.normal(size=(1, 1, 8, 32, 32)).astype(np.float32))
+        before = net(x)["final"].data  # stores the folds of the old state
+        donor = trained_stats_net(rng, seed=9)
+        net.load_state_arrays({k: v.copy() for k, v in donor.state_arrays().items()})
+        assert not net.training
+        after = net(x)["final"].data
+        assert not np.array_equal(after, before)
+        np.testing.assert_array_equal(after, fresh_eval_output(donor, x))
+
+    def test_parameter_edit_shows_after_eval(self, rng):
+        net = trained_stats_net(rng)
+        x = Tensor(rng.normal(size=(1, 1, 8, 32, 32)).astype(np.float32))
+        before = net(x)["final"].data
+        net.enc[0].bn1.gamma.data *= 1.5
+        np.testing.assert_array_equal(net(x)["final"].data, before)  # folds stored until eval()
+        after = net.eval()(x)["final"].data
+        assert not np.array_equal(after, before)
+        np.testing.assert_array_equal(after, fresh_eval_output(net, x))
+
+    def test_threads_racing_on_the_first_fold_match_a_serial_run(self, rng):
+        net = trained_stats_net(rng)
+        xs = [Tensor(rng.normal(size=(1, 1, 8, 32, 32)).astype(np.float32)) for _ in range(8)]
+        serial = [net(x)["final"].data for x in xs]
+        net.eval()  # drops the folds, so every thread's first forward races to fold
+        threaded = [None] * len(xs)
+
+        def work(i):
+            threaded[i] = net(xs[i])["final"].data
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(xs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for a, b in zip(serial, threaded):
+            np.testing.assert_array_equal(a, b)
+
+    def test_train_step_then_eval_refolds(self, rng):
+        net = trained_stats_net(rng)
+        x = Tensor(rng.normal(size=(1, 1, 8, 32, 32)).astype(np.float32))
+        before = net(x)["final"].data
+        net.train()(Tensor(rng.normal(size=(2, 1, 8, 32, 32)).astype(np.float32)))  # moves the running stats
+        after = net.eval()(x)["final"].data
+        assert not np.array_equal(after, before)
+        np.testing.assert_array_equal(after, fresh_eval_output(net, x))
 
 
 class TestOverfitSmoke:
