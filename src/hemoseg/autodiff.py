@@ -7,6 +7,11 @@ channel softmax, and the elementwise/reduction ops the losses are built from.
 Data lives in row-major numpy buffers, float32 for training and inference,
 float64 for gradient checking.
 
+A graph is backpropagated once: ``Tensor.backward`` frees each node's
+gradient and saved arrays as soon as its backward has run, so only leaves
+keep ``.grad``, and a second backward through the same graph raises
+RuntimeError.
+
 Forward/backward of one graph is single-threaded; tensors may move between
 threads but a graph must not be mutated concurrently.
 """
@@ -26,6 +31,7 @@ __all__ = [
     "set_finite_checks",
     "conv3d",
     "conv3d_strided_down",
+    "conv_weight_layout",
     "upsample_trilinear",
     "BatchNormStats",
     "batch_norm3d",
@@ -59,7 +65,7 @@ class OpRecord:
     """Backward-graph node: op kind, parent tensors, saved-context closure.
 
     Records form a DAG; ``Tensor.backward`` visits each exactly once in
-    reverse topological order.
+    reverse topological order, then replaces it with a consumed marker.
     """
 
     __slots__ = ("op", "parents", "apply")
@@ -68,6 +74,10 @@ class OpRecord:
         self.op = op
         self.parents = parents
         self.apply = apply
+
+
+# The record of a node whose backward has run: it keeps no parents and no closure.
+_CONSUMED = OpRecord("consumed", (), None)
 
 
 class Tensor:
@@ -121,9 +131,16 @@ class Tensor:
         return self.sum() * (1.0 / self.data.size)
 
     def backward(self) -> None:
-        """Populate ``grad`` on every reachable requires_grad tensor.
+        """Populate ``grad`` on every reachable requires_grad leaf, consuming the graph.
 
         Gradients accumulate additively across multiple uses of a tensor.
+        The graph is backpropagated once: nodes are popped in reverse
+        topological order, and once a node's backward has run its ``grad``
+        is dropped and its record replaced by a consumed marker, so its
+        gradient, its closure's saved arrays and, unless the caller holds
+        the tensor, its data are freed while the rest of the graph runs.
+        Only leaves keep ``grad``.  A later backward that reaches a consumed
+        node raises RuntimeError before any gradient is accumulated.
         """
         if self.data.size != 1:
             raise ShapeError("backward requires a scalar loss, got shape %r" % (self.shape,))
@@ -137,6 +154,8 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node.record is _CONSUMED:
+                raise RuntimeError("backward through a graph that was already backpropagated")
             seen.add(id(node))
             stack.append((node, True))
             if node.record is not None:
@@ -144,9 +163,13 @@ class Tensor:
                     if id(p) not in seen:
                         stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node.record is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node.record is None:
+                continue
+            if node.grad is not None:
                 node.record.apply(node.grad)
+            node.grad, node.record = None, _CONSUMED
 
     # -- operator sugar (Tensor or python scalar on either side) --
 
@@ -356,6 +379,23 @@ def _pad_channels_first(x, padding, xp=None):
     return xp
 
 
+def _weight_axes(stride) -> tuple[int, ...]:
+    """The axes of a [K, C, kd, kh, kw] weight in the order of ``_ConvPlan``'s
+    [lead taps, K, T*C] matrices, whose columns follow the gathered buffer's
+    (tap, channel) rows: at stride 1 the lead taps are (kd, kh) and the
+    gathered taps kw; a strided conv gathers every tap."""
+    return (2, 3, 0, 4, 1) if tuple(stride) == (1, 1, 1) else (0, 2, 3, 4, 1)
+
+
+def conv_weight_layout(w: np.ndarray, stride) -> np.ndarray:
+    """``w`` [K, C, kd, kh, kw] copied into the memory order of the matmul
+    matrices a conv at ``stride`` runs, as a view of the same shape, so
+    that conv uses it without copying it again (a constant weight, laid out
+    once for many calls)."""
+    axes = _weight_axes(stride)
+    return np.ascontiguousarray(w.transpose(axes)).transpose(np.argsort(axes))
+
+
 class _ConvPlan:
     """How one conv splits its kernel taps between gathering and matmuls.
 
@@ -381,21 +421,19 @@ class _ConvPlan:
         self.padded = tuple(e + 2 * p for e, p in zip(ext, padding))
         self.out = tuple(_conv_out_extent(e, kk, s, p) for e, kk, s, p in zip(ext, self.ks, stride, padding))
         self.stride1 = self.stride == (1, 1, 1)
-        # weight [K, C, kd, kh, kw] -> one [K, T*C] matrix per lead tap, its
-        # columns in the gathered buffer's (tap, channel) order
+        self.w_axes = _weight_axes(self.stride)
         if self.stride1:
             self.grid = self.padded
             plane, row = self.grid[1] * self.grid[2], self.grid[2]
             self.offsets = tuple(i * plane + j * row for i in range(kd) for j in range(kh))
-            self.w_axes = (2, 3, 0, 4, 1)
         else:
             self.grid, self.offsets = self.out, (0,)
-            self.w_axes = (0, 2, 3, 4, 1)
         self.cols = n * self.grid[0] * self.grid[1] * self.grid[2]
         self.rows = self.cols - self.offsets[-1]
 
     def weights(self, w):
-        """The [lead taps, K, T*C] weight matrices."""
+        """The [lead taps, K, T*C] weight matrices: a copy, or a view of a
+        weight from ``conv_weight_layout``."""
         return np.ascontiguousarray(w.transpose(self.w_axes)).reshape(len(self.offsets), self.k, -1)
 
     def gather(self, x):
@@ -680,7 +718,10 @@ def batch_norm3d(x: Tensor, gamma: Tensor, beta: Tensor, stats: BatchNormStats, 
     """Train-mode per-channel normalization over (N, D, H, W).
 
     Normalizes by batch statistics, differentiates through them, and moves
-    the running stats by ``BN_MOMENTUM`` toward the batch values.  There is
+    the running stats by ``BN_MOMENTUM`` toward the batch values.  Backward
+    keeps only the per-channel mean and inverse std (and the input, which
+    the graph holds anyway) and recomputes the normalized input ``xhat``
+    with the forward's expression, so no full-size array is saved.  There is
     no eval mode here: at inference batch norm is a fixed affine map, which
     ``model.BatchNorm3dLayer.fold`` folds into the preceding conv, so
     ``train=False`` raises ValueError.
@@ -699,18 +740,19 @@ def batch_norm3d(x: Tensor, gamma: Tensor, beta: Tensor, stats: BatchNormStats, 
     stats.mean += BN_MOMENTUM * (mean.astype(stats.mean.dtype) - stats.mean)
     stats.var += BN_MOMENTUM * (var.astype(stats.var.dtype) - stats.var)
     stats.batches_tracked += 1
-    inv_std = 1.0 / np.sqrt(var + x.data.dtype.type(BN_EPSILON))
-    xhat = (x.data - mean.reshape(bshape)) * inv_std.reshape(bshape)
-    out = gamma.data.reshape(bshape) * xhat + beta.data.reshape(bshape)
+    mean = mean.reshape(bshape)
+    inv_std = (1.0 / np.sqrt(var + x.data.dtype.type(BN_EPSILON))).reshape(bshape)
+    out = gamma.data.reshape(bshape) * ((x.data - mean) * inv_std) + beta.data.reshape(bshape)
     m = x.data.size // c
 
     def backward(g):
+        xhat = (x.data - mean) * inv_std
         _accum(beta, g.sum(axis=axes))
         _accum(gamma, (g * xhat).sum(axis=axes))
         if x.requires_grad or x.record is not None:
             dxhat = g * gamma.data.reshape(bshape)
             s1 = dxhat.sum(axis=axes).reshape(bshape)
             s2 = (dxhat * xhat).sum(axis=axes).reshape(bshape)
-            _accum(x, inv_std.reshape(bshape) / m * (m * dxhat - s1 - xhat * s2))
+            _accum(x, inv_std / m * (m * dxhat - s1 - xhat * s2))
 
     return _result(out, (x, gamma, beta), "batch_norm3d", backward)

@@ -1,7 +1,8 @@
 """Command-line front end: phantom generation, training, inference, reports.
 
 Exit codes are stable: 0 success, 2 usage problems (bad flags, missing
-inputs, malformed config, an output path that is a directory), 3
+inputs, malformed config, an output path that is a directory, any other
+``OSError`` from a read or a write, such as a full disk), 3
 data-format problems (corrupt volume or checkpoint files, mismatched case
 sets or mask grids), 4 numeric failures (non-finite loss or inference
 probabilities, failed phantom placement).
@@ -353,7 +354,7 @@ def main(argv=None) -> int:
                 "wall_seconds": round(time.perf_counter() - started, 6),
             }
             _write_file(made.manifest, _json(manifest))
-    except (UsageError, ConfigFileError, ConfigError, DatasetError, FileNotFoundError, NotADirectoryError) as exc:
+    except (UsageError, ConfigFileError, ConfigError, DatasetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (RvolError, CheckpointError, json.JSONDecodeError) as exc:

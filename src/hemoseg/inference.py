@@ -109,7 +109,7 @@ def _window_grid(volume_shape, window, stride=None) -> PatchGrid:
     return decompose(padded, window, stride)
 
 
-def sliding_window_predict(model, image: VolumeImage, stride=None) -> np.ndarray:
+def sliding_window_predict(model, image: VolumeImage, stride=None, info=None) -> np.ndarray:
     """Whole-volume class probabilities [C,D,H,W] from overlapping patches.
 
     The image is HU-windowed once; each patch is z-score normalized
@@ -118,12 +118,15 @@ def sliding_window_predict(model, image: VolumeImage, stride=None) -> np.ndarray
     its batch-norm statistics must already be populated.
     Raises FloatingPointError when the recomposed probabilities are not all
     finite, as when the image holds NaN voxels (windowing clamps infinities)
-    or the weights are not finite.
+    or the weights are not finite.  A dict passed as ``info`` gets the
+    number of windows run as ``patch_count``.
     """
     model.eval()
     window = tuple(model.config.input_patch_shape)
     windowed = hu_window(image).voxels.astype(np.float64)
     grid = _window_grid(windowed.shape, window, stride)
+    if info is not None:
+        info["patch_count"] = len(grid.origins)
     padded = pad_to_shape(windowed, grid.volume_shape, PAD_VALUE)
     lead = tuple((p - o) // 2 for p, o in zip(padded.shape, windowed.shape))
 
@@ -140,8 +143,8 @@ def sliding_window_predict(model, image: VolumeImage, stride=None) -> np.ndarray
     return probs[(slice(None),) + crop]
 
 
-def predict_mask(model, image: VolumeImage, stride=None) -> SegMask:
-    probs = sliding_window_predict(model, image, stride=stride)
+def predict_mask(model, image: VolumeImage, stride=None, info=None) -> SegMask:
+    probs = sliding_window_predict(model, image, stride=stride, info=info)
     return SegMask((np.argmax(probs, axis=0) == 1).astype(np.uint8), image.spacing_mm)
 
 
@@ -162,7 +165,9 @@ def extract_roi(mask: np.ndarray, margin_fraction) -> RoiBox | None:
     return RoiBox(lo=tuple(out_lo), hi=tuple(out_hi))
 
 
-def cascade_infer(stage1, stage2, image: VolumeImage, cascade_cfg, stride1=None) -> tuple[SegMask, RoiBox | None]:
+def cascade_infer(
+    stage1, stage2, image: VolumeImage, cascade_cfg, stride1=None, info=None
+) -> tuple[SegMask, RoiBox | None]:
     """Coarse localization, ROI crop/resize, fine segmentation, paste-back.
 
     Stage 1 runs sliding-window over the whole volume; its argmax mask
@@ -172,13 +177,14 @@ def cascade_infer(stage1, stage2, image: VolumeImage, cascade_cfg, stride1=None)
     probability is resized back and thresholded at 0.5.  An empty coarse
     mask short-circuits to an all-background mask.
 
-    stride1 overrides the stage-1 window stride.  Denser overlap pays off
+    stride1 overrides the stage-1 window stride, and ``info`` is passed to
+    stage 1's ``sliding_window_predict``.  Denser overlap pays off
     here: each window normalizes its own patch, so isolated false-positive
     specks rarely survive averaging across several window alignments, and
     the ROI box stays tight around the real lesions.
     """
     stage2.eval()
-    probs1 = sliding_window_predict(stage1, image, stride=stride1)
+    probs1 = sliding_window_predict(stage1, image, stride=stride1, info=info)
     coarse = np.argmax(probs1, axis=0) == 1
     box = extract_roi(coarse, cascade_cfg.roi_margin_fraction)
     if box is None:
@@ -195,11 +201,11 @@ def cascade_infer(stage1, stage2, image: VolumeImage, cascade_cfg, stride1=None)
 def timed_predict(image: VolumeImage, stage1, stage2=None, cascade_cfg=None, stride=None):
     """Run single-stage or cascade prediction; returns (mask, seconds, info)."""
     t0 = time.perf_counter()
+    info = {}
     if stage2 is not None:
-        mask, box = cascade_infer(stage1, stage2, image, cascade_cfg, stride1=stride)
-        info = {"mode": "cascade", "roi_box": None if box is None else [list(box.lo), list(box.hi)]}
+        mask, box = cascade_infer(stage1, stage2, image, cascade_cfg, stride1=stride, info=info)
+        info.update(mode="cascade", roi_box=None if box is None else [list(box.lo), list(box.hi)])
     else:
-        mask = predict_mask(stage1, image, stride=stride)
-        info = {"mode": "single", "roi_box": None}
-    info["patch_count"] = len(_window_grid(image.shape, stage1.config.input_patch_shape, stride).origins)
+        mask = predict_mask(stage1, image, stride=stride, info=info)
+        info.update(mode="single", roi_box=None)
     return mask, time.perf_counter() - t0, info

@@ -261,7 +261,9 @@ class BatchNorm3dLayer(_Module):
         (Jacob et al. 2018, "Quantization and Training of Neural Networks for
         Efficient Integer-Arithmetic-Only Inference", sec. 3.2).  Computed in
         float64 from the current parameters; the results are constants in the
-        conv weight's dtype.  The eval forward stores them in ``folded`` at
+        conv weight's dtype, the weight laid out in memory for the conv's
+        matmuls (``autodiff.conv_weight_layout``) so that no window copies
+        it again.  The eval forward stores them in ``folded`` at
         its first call and reuses them until ``UNet3D.eval()``, ``train()``
         or ``load_state_arrays()`` drops them, so an edit to the parameters
         or stats shows only after one of those.
@@ -273,6 +275,7 @@ class BatchNorm3dLayer(_Module):
         bias = -mean if conv.bias is None else conv.bias.data - mean
         dtype = conv.weight.dtype
         weight = (conv.weight.data * scale.reshape(-1, 1, 1, 1, 1)).astype(dtype)
+        weight = ad.conv_weight_layout(weight, conv.down_factors or (1, 1, 1))
         return Tensor(weight), Tensor((self.beta.data + bias * scale).astype(dtype))
 
     def _local_params(self):

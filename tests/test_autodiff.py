@@ -24,6 +24,8 @@ from hemoseg.autodiff import (
     softmax_channels,
     upsample_trilinear,
 )
+from hemoseg.losses import deep_supervision_loss
+from hemoseg.model import build_unet, toy_config
 
 
 class TestTensorBasics:
@@ -153,6 +155,73 @@ class TestGraphMechanics:
         with np.errstate(divide="ignore"):
             out = div(Tensor(np.array([1.0])), Tensor(np.array([0.0])))
         assert np.isinf(out.data[0])
+
+
+def toy_train_batch(seed=7):
+    """A toy network and one stage-1 train batch: batch 2, 8x32x32."""
+    rng = np.random.default_rng(seed)
+    net = build_unet(toy_config(), seed=3)
+    x = rng.normal(size=(2, 1, 8, 32, 32)).astype(np.float32)
+    labels = (rng.random((2, 8, 32, 32)) < 0.2).astype(np.int64)
+    return net, x, labels
+
+
+def graph_nodes(root):
+    """Every tensor reachable from ``root`` through the records."""
+    nodes, stack = {}, [root]
+    while stack:
+        t = stack.pop()
+        if id(t) not in nodes:
+            nodes[id(t)] = t
+            stack.extend(t.record.parents if t.record is not None else ())
+    return list(nodes.values())
+
+
+class TestConsumedGraph:
+    def test_train_step_keeps_only_leaf_gradients(self):
+        net, x, labels = toy_train_batch()
+        report = deep_supervision_loss(net(Tensor(x)), labels)
+        nodes = graph_nodes(report.total)
+        inner = [t for t in nodes if t.record is not None]
+        assert len(inner) > 100
+        report.total.backward()
+        for t in inner:
+            assert t.grad is None
+            assert t.record.parents == () and t.record.apply is None  # no closure, no saved arrays
+        assert all(p.grad is not None for p in net.parameters())
+
+    def test_second_backward_raises(self):
+        x = Tensor(np.array([2.0]), requires_grad=True)
+        loss = mul(x, x).sum()
+        loss.backward()
+        with pytest.raises(RuntimeError, match="already backpropagated"):
+            loss.backward()
+        assert x.grad[0] == 4.0
+
+    def test_backward_through_a_shared_consumed_node_raises(self):
+        x = Tensor(np.array([2.0]), requires_grad=True)
+        y = mul(x, x)
+        y.sum().backward()
+        other = add(relu(y), x).sum()  # shares the consumed y
+        with pytest.raises(RuntimeError, match="already backpropagated"):
+            other.backward()
+        assert x.grad[0] == 4.0  # nothing accumulated before the raise
+
+    def test_train_step_backward_peak_memory(self):
+        # Backward frees each node's gradient and saved arrays once its
+        # backward has run, so its traced peak stays near the forward graph's
+        # size (1.19x at 8x32x32; keeping every gradient read 1.86x).
+        net, x, labels = toy_train_batch()
+        tracemalloc.start()
+        try:
+            report = deep_supervision_loss(net(Tensor(x)), labels)
+            start, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            report.total.backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * start, f"backward peak {peak / start:.3f}x the graph at backward start"
 
 
 class TestConv3d:

@@ -388,12 +388,13 @@ class TestManifest:
         first = sorted(pred.glob("case_*_msk.rvol"))[0]
         gt = read_rvol(first)
         write_rvol(first, SegMask(np.zeros_like(gt.voxels), gt.spacing_mm))  # the new report would differ
+        capsys.readouterr()
         cut = fill_disk()
-        with pytest.raises(OSError):
-            main(["eval", "--pred", str(pred), "--gt", str(phantom_dir), "--out", str(out)])
+        assert main(["eval", "--pred", str(pred), "--gt", str(phantom_dir), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "error:" in err and "No space left on device" in err and "Traceback" not in err
         assert cut
         assert {p: p.read_bytes() for p in rep.iterdir()} == previous
-        capsys.readouterr()
 
 
 class TestParser:

@@ -399,6 +399,30 @@ class TestStoredFolds:
         for a, b in zip(serial, threaded):
             np.testing.assert_array_equal(a, b)
 
+    def test_folded_weights_reach_the_matmuls_without_a_copy(self, rng, monkeypatch):
+        net = trained_stats_net(rng)
+        calls = []
+        real_weights = ad._ConvPlan.weights
+
+        def recording_weights(plan, w):
+            mats = real_weights(plan, w)
+            calls.append((plan.stride1, w, mats))
+            return mats
+
+        monkeypatch.setattr(ad._ConvPlan, "weights", recording_weights)
+        net(Tensor(rng.normal(size=(1, 1, 8, 32, 32)).astype(np.float32)))
+        blocks = [m for _, m in net.named_modules() if isinstance(m, model.ResidualBlock)]
+        folds = {
+            id(bn.folded[0].data): (bn.folded[0].data, conv.weight.shape)
+            for b in blocks
+            for conv, bn in ((b.conv1, b.bn1), (b.conv2, b.bn2))
+        }
+        assert {stride1 for stride1, _, _ in calls} == {True, False}
+        for _, w, mats in calls:
+            fold, shape = folds[id(w)]  # every windowed conv runs a stored fold
+            assert fold.shape == shape
+            assert np.shares_memory(mats, fold)
+
     def test_train_step_then_eval_refolds(self, rng):
         net = trained_stats_net(rng)
         x = Tensor(rng.normal(size=(1, 1, 8, 32, 32)).astype(np.float32))
