@@ -15,15 +15,15 @@ from scipy import ndimage
 
 from .volumes import VolumeImage
 
+HU_WINDOW_WIDTH = 90.0  # the brain window every stage sees: [-5, 85] HU
+HU_WINDOW_LEVEL = 40.0
 PAD_VALUE = 0.0  # windowed value of air, used when padding to a crop shape
 
 
-def hu_window(image: VolumeImage, width: float = 90.0, level: float = 40.0) -> VolumeImage:
-    """Clamp HU to [level - width/2, level + width/2], then map to [0,1]."""
-    if width <= 0:
-        raise ValueError(f"window width must be positive, got {width}")
-    lo = level - width / 2.0
-    hi = level + width / 2.0
+def hu_window(image: VolumeImage) -> VolumeImage:
+    """Clamp HU to the brain window [level - width/2, level + width/2], then map to [0,1]."""
+    lo = HU_WINDOW_LEVEL - HU_WINDOW_WIDTH / 2.0
+    hi = HU_WINDOW_LEVEL + HU_WINDOW_WIDTH / 2.0
     out = (np.clip(image.voxels, lo, hi) - lo) / (hi - lo)
     return VolumeImage(out.astype(np.float32), image.spacing_mm)
 
@@ -83,9 +83,9 @@ def pad_to_shape(vol: np.ndarray, shape, pad_value: float):
     return vol
 
 
-def random_crop(image, mask, crop_shape, rng, fg_bias_prob=0.5, pad_value=PAD_VALUE):
+def random_crop(image, mask, crop_shape, rng, fg_bias_prob=0.5):
     """Cut an aligned patch pair, optionally centered on a foreground voxel."""
-    image = pad_to_shape(np.asarray(image), crop_shape, pad_value)
+    image = pad_to_shape(np.asarray(image), crop_shape, PAD_VALUE)
     mask = pad_to_shape(np.asarray(mask), crop_shape, 0)
     fg = np.argwhere(mask > 0)
     origin = []

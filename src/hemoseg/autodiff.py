@@ -24,28 +24,6 @@ import numpy as np
 
 from .volumes import _linear_axis_matrix
 
-__all__ = [
-    "Tensor",
-    "OpRecord",
-    "ShapeError",
-    "set_finite_checks",
-    "conv3d",
-    "conv3d_strided_down",
-    "conv_weight_layout",
-    "upsample_trilinear",
-    "BatchNormStats",
-    "batch_norm3d",
-    "relu",
-    "add",
-    "mul",
-    "div",
-    "concat_channels",
-    "slice_channels",
-    "softmax_channels",
-    "log",
-    "clamp_min",
-]
-
 _AXIS_NAMES = ("depth", "height", "width")
 
 _finite_checks = False
@@ -111,7 +89,9 @@ class Tensor:
         return self.data.size
 
     def item(self) -> float:
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else _scalar_error(self)
+        if self.data.size != 1:
+            raise ShapeError("item() requires a single-element tensor, got shape %r" % (self.shape,))
+        return float(self.data.reshape(-1)[0])
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -187,9 +167,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return _scalar_mul(self, -1.0)
-
     def __sub__(self, other):
         if isinstance(other, Tensor):
             return add(self, _scalar_mul(other, -1.0))
@@ -205,10 +182,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
-
-
-def _scalar_error(t):
-    raise ShapeError("item() requires a single-element tensor, got shape %r" % (t.shape,))
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
@@ -714,7 +687,7 @@ class BatchNormStats:
         self.batches_tracked = np.zeros(1, dtype=np.int64)
 
 
-def batch_norm3d(x: Tensor, gamma: Tensor, beta: Tensor, stats: BatchNormStats, train: bool) -> Tensor:
+def batch_norm3d(x: Tensor, gamma: Tensor, beta: Tensor, stats: BatchNormStats) -> Tensor:
     """Train-mode per-channel normalization over (N, D, H, W).
 
     Normalizes by batch statistics, differentiates through them, and moves
@@ -723,11 +696,8 @@ def batch_norm3d(x: Tensor, gamma: Tensor, beta: Tensor, stats: BatchNormStats, 
     the graph holds anyway) and recomputes the normalized input ``xhat``
     with the forward's expression, so no full-size array is saved.  There is
     no eval mode here: at inference batch norm is a fixed affine map, which
-    ``model.BatchNorm3dLayer.fold`` folds into the preceding conv, so
-    ``train=False`` raises ValueError.
+    ``model.BatchNorm3dLayer.fold`` folds into the preceding conv.
     """
-    if not train:
-        raise ValueError("batch_norm3d is train-only; eval mode folds batch norm into its conv (BatchNorm3dLayer.fold)")
     if x.ndim != 5:
         raise ShapeError(f"batch_norm3d: need 5-d input, got {x.shape}")
     c = x.shape[1]

@@ -4,8 +4,9 @@ Exit codes are stable: 0 success, 2 usage problems (bad flags, missing
 inputs, malformed config, an output path that is a directory, any other
 ``OSError`` from a read or a write, such as a full disk), 3
 data-format problems (corrupt volume or checkpoint files, mismatched case
-sets or mask grids), 4 numeric failures (non-finite loss or inference
-probabilities, failed phantom placement).
+sets or mask grids, a malformed ``dataset.json`` or ``infer`` sidecar), 4
+numeric failures (non-finite loss or inference probabilities, failed
+phantom placement).
 
 Each command returns what it made, and ``main`` writes the run manifest
 JSON next to its outputs: the arguments ``main`` received (``argv``), the
@@ -51,7 +52,7 @@ from .training import (
     train_stage2,
 )
 from .volumes import RvolError, SegMask, read_rvol, write_file_atomic, write_rvol
-from .volumetry import compare_methods, tada_measure, tada_volume_ml, voxel_volume_ml
+from .volumetry import LESION_CLASSES, compare_methods, tada_measure, tada_volume_ml, voxel_volume_ml
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -61,6 +62,10 @@ EXIT_NUMERIC = 4
 
 class UsageError(ValueError):
     """Bad invocation: missing inputs, inconsistent flags."""
+
+
+class JsonFormatError(Exception):
+    """A JSON input (``dataset.json``, an ``infer`` sidecar) without its documented layout."""
 
 
 @dataclass
@@ -254,12 +259,39 @@ def cmd_volume(args) -> Made | None:
     return Made(_manifest_beside(out), [args.mask], [out], {"method": args.method})
 
 
+def _read_json(path):
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as exc:  # not UTF-8 text, or not JSON
+        raise JsonFormatError(f"{path}: not a JSON file: {exc}") from exc
+
+
 def _lesion_classes(gt_dir) -> dict[str, str]:
+    """Lesion class by case id from the ground truth's dataset.json; {} without one."""
     path = Path(gt_dir) / "dataset.json"
     if not path.exists():
         return {}
-    payload = json.loads(path.read_text())
-    return {c["case_id"]: c.get("lesion_class", "solitary") for c in payload.get("cases", [])}
+    payload = _read_json(path)
+    cases = payload.get("cases", []) if isinstance(payload, dict) else None
+    if not isinstance(cases, list) or not all(isinstance(c, dict) and isinstance(c.get("case_id"), str) for c in cases):
+        raise JsonFormatError(f'{path}: expected {{"cases": [{{"case_id": "...", "lesion_class": ...}}, ...]}}')
+    classes = {c["case_id"]: c.get("lesion_class", "solitary") for c in cases}
+    bad = {cid: cls for cid, cls in classes.items() if cls not in LESION_CLASSES}
+    if bad:
+        raise JsonFormatError(f"{path}: lesion_class must be one of {LESION_CLASSES}, got {bad}")
+    return classes
+
+
+def _model_seconds(sidecar: Path) -> float | None:
+    """The ``seconds`` of an ``infer`` sidecar; None without a sidecar or without that key."""
+    if not sidecar.exists():
+        return None
+    payload = _read_json(sidecar)
+    seconds = payload.get("seconds") if isinstance(payload, dict) else None
+    valid = seconds is None or type(seconds) in (int, float) and 0 <= seconds < np.inf
+    if not (isinstance(payload, dict) and valid):
+        raise JsonFormatError(f'{sidecar}: expected an object whose "seconds" is a finite number >= 0')
+    return seconds
 
 
 def cmd_compare_tada(args) -> Made | None:
@@ -268,10 +300,7 @@ def cmd_compare_tada(args) -> Made | None:
     entries = []
     for cid, pred_path, pred, gt in _mask_pairs(args.pred, args.gt):
         entry = {"case_id": cid, "pred": pred, "gt": gt, "lesion_class": classes.get(cid, "solitary")}
-        sidecar = pred_path.with_suffix(".json")
-        if sidecar.exists():
-            entry["model_seconds"] = json.loads(sidecar.read_text()).get("seconds")
-        entries.append(entry)
+        entries.append({**entry, "model_seconds": _model_seconds(pred_path.with_suffix(".json"))})
     report = compare_methods(entries)
     print(report.to_text(), end="")
     if not args.out:
@@ -357,7 +386,7 @@ def main(argv=None) -> int:
     except (UsageError, ConfigFileError, ConfigError, DatasetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (RvolError, CheckpointError, json.JSONDecodeError) as exc:
+    except (RvolError, CheckpointError, JsonFormatError, json.JSONDecodeError) as exc:
         print(f"data format error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (TrainingAbort, PhantomError, FloatingPointError) as exc:

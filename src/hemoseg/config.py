@@ -54,7 +54,6 @@ _NETWORK_KEYS = {
     "channels": ("channels_per_level", _values(int)),
     "factors": ("downsample_factors_per_level", _factors),
     "patch": ("input_patch_shape", _values(int)),
-    "out_channels": ("out_channels", int),
     "deep_supervision": ("deep_supervision_levels", lambda s: frozenset(_values(int)(s))),
 }
 

@@ -92,8 +92,8 @@ class CascadeConfig:
                 f"stage2_input_shape {self.stage2_input_shape} must equal the stage-2 patch shape "
                 f"{self.stage2.input_patch_shape}"
             )
-        if any(m < 0 for m in self.roi_margin_fraction):
-            raise ConfigError(f"roi_margin_fraction must be >= 0, got {self.roi_margin_fraction}")
+        if not all(np.isfinite(m) and m >= 0 for m in self.roi_margin_fraction):
+            raise ConfigError(f"roi_margin_fraction must be finite and >= 0, got {self.roi_margin_fraction}")
 
 
 def fullres_config() -> UNet3DConfig:
@@ -200,10 +200,6 @@ class _ModuleList(_Module):
     def __init__(self, modules):
         for i, m in enumerate(modules):
             setattr(self, str(i), m)
-        self._n = len(modules)
-
-    def __iter__(self):
-        return (getattr(self, str(i)) for i in range(self._n))
 
     def __getitem__(self, i):
         return getattr(self, str(i))
@@ -251,7 +247,7 @@ class BatchNorm3dLayer(_Module):
         self.folded: tuple[Tensor, Tensor] | None = None
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.batch_norm3d(x, self.gamma, self.beta, self.stats, train=True)
+        return ad.batch_norm3d(x, self.gamma, self.beta, self.stats)
 
     def fold(self, conv: Conv3dLayer) -> tuple[Tensor, Tensor]:
         """Weight and bias of one conv that computes eval-mode batch norm of ``conv(x)``.

@@ -35,14 +35,18 @@ class PhantomSpec:
     seed: int = 0
 
     def validate(self) -> None:
-        if min(self.shape) < 1 or min(self.spacing_mm) <= 0:
-            raise ValueError(f"bad geometry {self.shape} / {self.spacing_mm}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if min(self.shape) < 1 or not all(0 < s < np.inf for s in self.spacing_mm):
+            raise ValueError(f"bad geometry: shape {self.shape}, spacing_mm {self.spacing_mm}")
         if not (0 <= self.lesion_count_range[0] <= self.lesion_count_range[1]):
             raise ValueError(f"bad lesion count range {self.lesion_count_range}")
-        if not (0 < self.semi_axes_mm_range[0] <= self.semi_axes_mm_range[1]):
-            raise ValueError(f"bad semi-axes range {self.semi_axes_mm_range}")
-        if self.noise_sigma_hu < 0:
-            raise ValueError("noise sigma must be >= 0")
+        if not (0 < self.semi_axes_mm_range[0] <= self.semi_axes_mm_range[1] < np.inf):
+            raise ValueError(f"bad semi_axes_mm_range {self.semi_axes_mm_range}")
+        if not 0 <= self.noise_sigma_hu < np.inf:
+            raise ValueError(f"noise_sigma_hu must be finite and >= 0, got {self.noise_sigma_hu}")
+        if not np.isfinite([*self.lesion_hu_range, self.background_hu]).all():
+            raise ValueError(f"lesion_hu_range {self.lesion_hu_range}, background_hu {self.background_hu}: not finite")
 
 
 def _center_coords(shape, spacing):

@@ -8,10 +8,11 @@ Checkpoint layout (HSCK), all little-endian:
     records     name_len u16, name utf-8, dtype u8, ndim u8,
                 dims ndim x u32, raw payload
 
-dtype codes: 0 float32, 1 float64, 2 uint8, 3 int64.  Records are sorted
-by name, so identical state always serializes to identical bytes.  Run
-metadata (model config, training position) rides along as a JSON blob in
-the reserved "__meta__" record.
+dtype codes: 0 float32, 1 float64, 2 uint8, 3 int64; saving an array of
+any other dtype raises CkptUnknownDtype, naming the record, before a byte
+is written.  Records are sorted by name, so identical state always
+serializes to identical bytes.  Run metadata (model config, training
+position) rides along as a JSON blob in the reserved "__meta__" record.
 
 Every stochastic choice in a run is drawn from a fresh generator seeded by
 (seed, stream, step), never from a long-lived stream.  Resuming from a
@@ -114,6 +115,9 @@ class TrainConfig:
     def validate(self) -> None:
         if min(self.epochs, self.steps_per_epoch, self.batch_size) < 1:
             raise ValueError("epochs, steps_per_epoch, and batch_size must be positive")
+        for name in ("seed", "lr", "eta_min", "weight_decay", "jitter_fraction"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         CosineWarmRestarts(eta_max=self.lr, eta_min=self.eta_min, t_0=self.t_0, t_mult=self.t_mult)  # checks the schedule
 
 
@@ -128,12 +132,13 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict) -> Path:
     chunks = [_HEAD.pack(CKPT_MAGIC, CKPT_VERSION, len(payload))]
     for name in sorted(payload):
         arr = np.ascontiguousarray(payload[name])
-        if arr.dtype not in _DTYPE_CODES:
-            arr = arr.astype(np.float64)
+        code = _DTYPE_CODES.get(arr.dtype)
+        if code is None:
+            raise CkptUnknownDtype(f"{path}: record {name!r} has dtype {arr.dtype}, which HSCK does not store")
         nb = name.encode()
         chunks.append(struct.pack("<H", len(nb)))
         chunks.append(nb)
-        chunks.append(struct.pack("<BB", _DTYPE_CODES[arr.dtype], arr.ndim))
+        chunks.append(struct.pack("<BB", code, arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         chunks.append(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes())
     path = Path(path)
@@ -349,7 +354,7 @@ def _train_stage1(model, prepared, cfg: TrainConfig, optimizer=None, start_step=
     return Path(cfg.checkpoint_path), history
 
 
-def train_stage(model, dataset, cfg: TrainConfig, optimizer=None, start_step=0):
+def train_stage(model, dataset, cfg: TrainConfig):
     """Patch-sampled training of one network; returns (checkpoint path, history).
 
     dataset is a list of (VolumeImage in HU, SegMask) pairs; patches are
@@ -357,7 +362,7 @@ def train_stage(model, dataset, cfg: TrainConfig, optimizer=None, start_step=0):
     the loss goes non-finite.
     """
     cfg.validate()
-    return _train_stage1(model, _window_dataset(dataset), cfg, optimizer, start_step)
+    return _train_stage1(model, _window_dataset(dataset), cfg)
 
 
 def resume_stage(checkpoint_path, dataset, cfg: TrainConfig):
@@ -379,8 +384,8 @@ def resume_stage(checkpoint_path, dataset, cfg: TrainConfig):
     optimizer = _make_optimizer(model, cfg)
     if optim_arrays:
         optimizer.load_state_arrays(optim_arrays)
-    start_step = int(meta["train"]["next_step"])
-    return train_stage(model, dataset, cfg, optimizer=optimizer, start_step=start_step)
+    cfg.validate()
+    return _train_stage1(model, _window_dataset(dataset), cfg, optimizer, int(meta["train"]["next_step"]))
 
 
 def _derived_path(base, tag: str) -> Path:

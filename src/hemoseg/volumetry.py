@@ -26,6 +26,8 @@ from scipy.spatial import ConvexHull, QhullError
 
 from .volumes import SegMask
 
+LESION_CLASSES = ("solitary", "scattered")  # ABC/2 is reported for the first only
+
 
 @dataclass
 class TadaMeasurement:
@@ -162,15 +164,8 @@ class VolumetryReport:
     model_mae_ml: dict[str, float]
     tada_mae_ml: dict[str, float]
 
-    def to_dict(self) -> dict:
-        return {
-            "cases": [vars(c) for c in self.cases],
-            "model_mae_ml": self.model_mae_ml,
-            "tada_mae_ml": self.tada_mae_ml,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json.dumps({**vars(self), "cases": [vars(c) for c in self.cases]}, indent=2, sort_keys=True)
 
     def to_text(self) -> str:
         """Aligned table: per-method volume MAE by lesion class plus timing."""
@@ -178,7 +173,7 @@ class VolumetryReport:
         def fmt(v, width=18, nd=3):
             return " " * (width - 1) + "-" if v is None else f"{v:>{width}.{nd}f}"
 
-        classes = ["solitary", "scattered", "all"]
+        classes = [*LESION_CLASSES, "all"]
         header = f"{'method':<18}" + "".join(f"{'mae_' + c + '_ml':>18}" for c in classes) + f"{'mean_seconds':>14}"
         lines = [header]
         for method, mae, secs in (
@@ -225,20 +220,18 @@ def compare_methods(entries) -> VolumetryReport:
             )
         )
 
-    def mae_over(rows, err):
-        vals = [err(r) for r in rows if err(r) is not None]
-        return float(np.mean(vals)) if vals else None
+    groups = {cls: [c for c in cases if c.lesion_class == cls] for cls in LESION_CLASSES}
+    groups["all"] = cases
 
-    model_mae, tada_mae = {}, {}
-    for cls in ("solitary", "scattered"):
-        rows = [c for c in cases if c.lesion_class == cls]
-        if rows:
-            model_mae[cls] = mae_over(rows, lambda r: r.model_abs_error_ml)
-            tada_mae[cls] = mae_over(rows, lambda r: r.tada_abs_error_ml)
-    model_mae["all"] = mae_over(cases, lambda r: r.model_abs_error_ml)
-    tada_mae["all"] = mae_over(cases, lambda r: r.tada_abs_error_ml)
+    def maes(estimate) -> dict[str, float]:
+        """volume_mae per group over the cases the method estimated; groups with none are left out."""
+        pairs = {
+            g: [(estimate(r), r.gt_volume_ml) for r in rows if estimate(r) is not None] for g, rows in groups.items()
+        }
+        return {g: volume_mae(*zip(*p)) for g, p in pairs.items() if p}
+
     return VolumetryReport(
         cases=cases,
-        model_mae_ml={k: v for k, v in model_mae.items() if v is not None},
-        tada_mae_ml={k: v for k, v in tada_mae.items() if v is not None},
+        model_mae_ml=maes(lambda r: r.model_volume_ml),
+        tada_mae_ml=maes(lambda r: r.tada_volume_ml),
     )

@@ -147,7 +147,7 @@ def _op_suite(seed):
     bn_w = rng.standard_normal((2, 2, 2, 3, 3))
     gamma, beta = rng.uniform(0.5, 1.5, size=2), rng.standard_normal((2,))
     gradcheck(
-        lambda l: (ad.batch_norm3d(l[0], l[1], l[2], BatchNormStats(2, np.float64), True) * Tensor(bn_w)).sum(),
+        lambda l: (ad.batch_norm3d(l[0], l[1], l[2], BatchNormStats(2, np.float64)) * Tensor(bn_w)).sum(),
         [bn_x, gamma, beta],
         rtol=1e-3,
         atol=1e-8,

@@ -395,7 +395,7 @@ class TestBatchNorm3d:
         x = rng.normal(loc=3.0, scale=2.0, size=(2, 3, 4, 5, 5))
         stats = BatchNormStats(3, dtype=np.float64)
         out = batch_norm3d(
-            Tensor(x), Tensor(np.ones(3, dtype=np.float64)), Tensor(np.zeros(3, dtype=np.float64)), stats, train=True
+            Tensor(x), Tensor(np.ones(3, dtype=np.float64)), Tensor(np.zeros(3, dtype=np.float64)), stats
         )
         m = out.data.mean(axis=(0, 2, 3, 4))
         v = out.data.var(axis=(0, 2, 3, 4))
@@ -407,18 +407,10 @@ class TestBatchNorm3d:
         stats = BatchNormStats(2, dtype=np.float64)
         batch_mean = x.mean(axis=(0, 2, 3, 4))
         batch_var = x.var(axis=(0, 2, 3, 4))
-        batch_norm3d(
-            Tensor(x), Tensor(np.ones(2, dtype=np.float64)), Tensor(np.zeros(2, dtype=np.float64)), stats, train=True
-        )
+        batch_norm3d(Tensor(x), Tensor(np.ones(2, dtype=np.float64)), Tensor(np.zeros(2, dtype=np.float64)), stats)
         np.testing.assert_allclose(stats.mean, 0.1 * batch_mean, rtol=1e-6)
         np.testing.assert_allclose(stats.var, 0.9 * 1.0 + 0.1 * batch_var, rtol=1e-6)
         assert stats.batches_tracked == 1
-
-    def test_eval_mode_points_to_the_fold(self):
-        with pytest.raises(ValueError, match="BatchNorm3dLayer.fold"):
-            batch_norm3d(
-                Tensor(np.zeros((1, 2, 2, 2, 2))), Tensor(np.ones(2)), Tensor(np.zeros(2)), BatchNormStats(2), False
-            )
 
     def test_eval_oracle_matches_hand_value(self):
         x = np.full((1, 1, 1, 1, 2), 6.0)
@@ -434,7 +426,7 @@ class TestBatchNorm3d:
         def build(leaves):
             xi, gi, bi = leaves
             stats = BatchNormStats(2, dtype=np.float64)
-            out = batch_norm3d(xi, gi, bi, stats, train=True)
+            out = batch_norm3d(xi, gi, bi, stats)
             return mul(out, out).mean()
 
         oracles.gradcheck(build, [x, gamma, beta], rtol=1e-3, atol=1e-5)

@@ -414,6 +414,17 @@ class TestParser:
         assert (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC) == (0, 2, 3, 4)
 
 
+# compare-tada inputs: directory name -> (file written beside a copy of the
+# phantom masks, its JSON payload)
+BAD_JSON = {
+    "list_dataset": ("dataset.json", [1, 2]),
+    "int_cases": ("dataset.json", {"cases": 5}),
+    "no_case_id": ("dataset.json", {"cases": [{"lesion_class": "solitary"}]}),
+    "unknown_class": ("dataset.json", {"cases": [{"case_id": "0000", "lesion_class": "mixed"}]}),
+    "list_sidecar": ("case_0000_msk.json", [1]),
+    "string_seconds": ("case_0000_msk.json", {"seconds": "abc"}),
+}
+
 # Bad invocations, run as a separate process so stderr shows whether a
 # traceback escaped: (id, argv template, expected exit code, stderr must name).
 BAD_INVOCATIONS = [
@@ -462,6 +473,31 @@ BAD_INVOCATIONS = [
     *[(f"train-meta-{name}", ["infer", "--model", f"{{ckpt}},{{{name}}}", "--input", "{image}",
                               "--output", "{tmp}/o.rvol"], EXIT_DATA, f"{name}.hsck: malformed train metadata")
       for name in ("list_train", "int_stage2_shape")],
+    ("removed-out-channels", ["train", "--data", "{data}", "--out", "{tmp}/x.hsck", "--set", "model.out_channels=2"],
+     EXIT_USAGE, "model.out_channels"),
+    # non-finite or out-of-range float settings and negative seeds, refused by the owner's validate()
+    *[(f"bad-setting-{setting}", ["train", "--data", "{data}", "--stage", "2", "--out", "{tmp}/x.hsck",
+                                  "--set", setting], EXIT_USAGE, field)
+      for setting, field in (("cascade.roi_margin=nan,0.25,0.25", "roi_margin_fraction"),
+                             ("cascade.roi_margin=inf,0.25,0.25", "roi_margin_fraction"),
+                             ("train.jitter=-0.5", "jitter_fraction"), ("train.jitter=nan", "jitter_fraction"),
+                             ("train.jitter=inf", "jitter_fraction"), ("train.lr=inf", "lr"),
+                             ("train.weight_decay=nan", "weight_decay"), ("train.seed=-3", "seed"))],
+    *[(f"bad-setting-{setting}", ["gen-phantoms", "--out", "{tmp}/g", "--count", "1", "--set", setting],
+       EXIT_USAGE, field)
+      for setting, field in (("phantom.background_hu=nan", "background_hu"),
+                             ("phantom.noise_sigma_hu=nan", "noise_sigma_hu"),
+                             ("phantom.spacing=nan,1,1", "spacing_mm"), ("phantom.spacing=inf,1,1", "spacing_mm"),
+                             ("phantom.lesion_hu=nan,70", "lesion_hu_range"),
+                             ("phantom.semi_axes_mm=6,inf", "semi_axes_mm_range"))],
+    ("gen-phantoms-negative-seed", ["gen-phantoms", "--out", "{tmp}/g", "--count", "1", "--seed", "-1"],
+     EXIT_USAGE, "seed must be"),
+    ("train-negative-seed", ["train", "--data", "{data}", "--out", "{tmp}/x.hsck", "--seed", "-1"],
+     EXIT_USAGE, "seed must be"),
+    # malformed dataset.json or infer sidecar: each directory is both --pred and --gt
+    *[(f"compare-tada-{name}", ["compare-tada", "--pred", f"{{{name}}}", "--gt", f"{{{name}}}"],
+       EXIT_DATA, f"{name}/{file}")
+      for name, (file, _) in BAD_JSON.items()],
 ]
 
 
@@ -477,8 +513,9 @@ def no_foreground_dir(tmp_path_factory):
 def bad_inputs(tmp_path_factory, cascade_ckpts, phantom_dir):
     """Stage-1 checkpoints with one batch-norm buffer reshaped or with malformed
     model metadata, stage-2 checkpoints with malformed train metadata, an
-    all-NaN image, and masks on a smaller grid than the phantoms' for every
-    phantom case."""
+    all-NaN image, masks on a smaller grid than the phantoms' for every
+    phantom case, and copies of the phantom masks beside each ``BAD_JSON``
+    file."""
     out = tmp_path_factory.mktemp("cli_bad")
     arrays, meta = load_checkpoint(cascade_ckpts[0])
     for n in (1, 3):
@@ -504,8 +541,14 @@ def bad_inputs(tmp_path_factory, cascade_ckpts, phantom_dir):
     tiny.mkdir()
     for p in phantom_dir.glob("case_*_msk.rvol"):
         write_rvol(tiny / p.name, SegMask(np.ones((2, 3, 3), np.uint8), (5.0, 1.0, 1.0)))
+    for name, (file, payload) in BAD_JSON.items():
+        (out / name).mkdir()
+        for p in phantom_dir.glob("case_*_msk.rvol"):
+            (out / name / p.name).write_bytes(p.read_bytes())
+        (out / name / file).write_text(json.dumps(payload))
     return {"var1": out / "var1.hsck", "var3": out / "var3.hsck", "nan": out / "nan.rvol", "tiny": tiny,
-            **{name: out / f"{name}.hsck" for name in (*metas, *train_metas)}}
+            **{name: out / f"{name}.hsck" for name in (*metas, *train_metas)},
+            **{name: out / name for name in BAD_JSON}}
 
 
 @pytest.mark.parametrize("argv,code,names", [c[1:] for c in BAD_INVOCATIONS], ids=[c[0] for c in BAD_INVOCATIONS])

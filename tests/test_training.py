@@ -222,6 +222,12 @@ class TestCheckpointFormat:
         with pytest.raises(CkptUnknownDtype):
             load_checkpoint(p)
 
+    def test_unsupported_dtype_refused_before_writing(self, tmp_path):
+        arrays = {**self._arrays(), "d.index": np.arange(3, dtype=np.int32)}
+        with pytest.raises(CkptUnknownDtype, match="'d.index' has dtype int32"):
+            save_checkpoint(tmp_path / "out" / "x.hsck", arrays, {})
+        assert not (tmp_path / "out").exists()
+
     def test_truncation(self, tmp_path):
         p = save_checkpoint(tmp_path / "x.hsck", self._arrays(), {"m": 1})
         raw = p.read_bytes()
