@@ -267,10 +267,11 @@ def _read_json(path):
 
 
 def _lesion_classes(gt_dir) -> dict[str, str]:
-    """Lesion class by case id from the ground truth's dataset.json; {} without one."""
+    """Lesion class by case id from the ground truth's dataset.json, which
+    must list every ground-truth case; every case is solitary without one."""
     path = Path(gt_dir) / "dataset.json"
     if not path.exists():
-        return {}
+        return dict.fromkeys(_mask_cases(gt_dir), "solitary")
     payload = _read_json(path)
     cases = payload.get("cases", []) if isinstance(payload, dict) else None
     if not isinstance(cases, list) or not all(isinstance(c, dict) and isinstance(c.get("case_id"), str) for c in cases):
@@ -279,6 +280,9 @@ def _lesion_classes(gt_dir) -> dict[str, str]:
     bad = {cid: cls for cid, cls in classes.items() if cls not in LESION_CLASSES}
     if bad:
         raise JsonFormatError(f"{path}: lesion_class must be one of {LESION_CLASSES}, got {bad}")
+    unlisted = sorted(set(_mask_cases(gt_dir)) - set(classes))
+    if unlisted:
+        raise JsonFormatError(f"{path}: does not list case {', '.join(unlisted)}")
     return classes
 
 
@@ -299,7 +303,7 @@ def cmd_compare_tada(args) -> Made | None:
     classes = _lesion_classes(args.gt)
     entries = []
     for cid, pred_path, pred, gt in _mask_pairs(args.pred, args.gt):
-        entry = {"case_id": cid, "pred": pred, "gt": gt, "lesion_class": classes.get(cid, "solitary")}
+        entry = {"case_id": cid, "pred": pred, "gt": gt, "lesion_class": classes[cid]}
         entries.append({**entry, "model_seconds": _model_seconds(pred_path.with_suffix(".json"))})
     report = compare_methods(entries)
     print(report.to_text(), end="")

@@ -147,6 +147,10 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict) -> Path:
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
+    """The arrays and metadata of an HSCK file.  A file that does not parse
+    (bad magic or version, a cut-short record, an unknown dtype code, a
+    record name that is not UTF-8, metadata that is not UTF-8 JSON) raises
+    CheckpointError naming the file."""
     raw = Path(path).read_bytes()
     if len(raw) < _HEAD.size:
         raise CkptTruncated(f"{path}: shorter than the {_HEAD.size}-byte header")
@@ -169,6 +173,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
             pos += 4 * ndim
         except struct.error as exc:
             raise CkptTruncated(f"{path}: record header cut short: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: a record name is not UTF-8: {exc}") from exc
         if code not in _CODE_DTYPES:
             raise CkptUnknownDtype(f"{path}: record {name!r} has unknown dtype code {code}")
         dtype = _CODE_DTYPES[code]
@@ -178,7 +184,10 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         arrays[name] = np.frombuffer(raw[pos : pos + nbytes], dtype=dtype.newbyteorder("<")).reshape(dims).copy()
         pos += nbytes
     meta_arr = arrays.pop(META_KEY, None)
-    meta = json.loads(bytes(meta_arr).decode()) if meta_arr is not None else {}
+    try:
+        meta = json.loads(bytes(meta_arr).decode()) if meta_arr is not None else {}
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise CheckpointError(f"{path}: malformed {META_KEY} record: {exc}") from exc
     return arrays, meta
 
 
@@ -299,46 +308,49 @@ _TRAJECTORY_FIELDS = ("seed", "steps_per_epoch", "batch_size", "lr", "eta_min", 
 
 def _run_steps(model, make_batch, cfg: TrainConfig, stage_tag: str, optimizer=None, start_step=0, extra_meta=None):
     """The one step loop: batch, forward, loss, backward, update, log, and a
-    checkpoint at every epoch end.  Returns the per-step records."""
-    from .autodiff import Tensor
+    checkpoint at every epoch end.  Returns the per-step records.  The loop
+    runs in one ``autodiff.scratch_arena``, so its steps reuse the conv
+    kernels' scratch buffers."""
+    from .autodiff import Tensor, scratch_arena
 
     optimizer = optimizer or _make_optimizer(model, cfg)
     sched = CosineWarmRestarts(eta_max=cfg.lr, eta_min=cfg.eta_min, t_0=cfg.t_0, t_mult=cfg.t_mult)
     total_steps = cfg.epochs * cfg.steps_per_epoch
     history = []
     model.train()
-    for step in range(start_step, total_steps):
-        x, labels = make_batch(step)
-        lr = sched.lr_at(step / cfg.steps_per_epoch)
-        optimizer.lr = lr
-        optimizer.zero_grad()
-        report = deep_supervision_loss(model(Tensor(x.astype(np.float32))), labels)
-        total = report.total_value
-        if not np.isfinite(total):
-            raise TrainingAbort(step, lr, report.per_level)
-        report.total.backward()
-        optimizer.step()
-        history.append(StepRecord(step, lr, total, tuple(report.per_level)))
-        _log_step(
-            cfg.log_path,
-            {
-                "stage": stage_tag,
-                "step": step,
-                "lr": lr,
-                "total": total,
-                "per_level": [[l, d, c] for l, d, c in report.per_level],
-            },
-        )
-        epoch_end = (step + 1) % cfg.steps_per_epoch == 0 or step + 1 == total_steps
-        if epoch_end and cfg.checkpoint_path is not None:
-            train_meta = {
-                "stage": stage_tag,
-                "next_step": step + 1,
-                "epochs": cfg.epochs,
-                **{name: getattr(cfg, name) for name in _TRAJECTORY_FIELDS},
-                **(extra_meta or {}),
-            }
-            save_stage_checkpoint(cfg.checkpoint_path, model, optimizer, train_meta)
+    with scratch_arena():
+        for step in range(start_step, total_steps):
+            x, labels = make_batch(step)
+            lr = sched.lr_at(step / cfg.steps_per_epoch)
+            optimizer.lr = lr
+            optimizer.zero_grad()
+            report = deep_supervision_loss(model(Tensor(x.astype(np.float32))), labels)
+            total = report.total_value
+            if not np.isfinite(total):
+                raise TrainingAbort(step, lr, report.per_level)
+            report.total.backward()
+            optimizer.step()
+            history.append(StepRecord(step, lr, total, tuple(report.per_level)))
+            _log_step(
+                cfg.log_path,
+                {
+                    "stage": stage_tag,
+                    "step": step,
+                    "lr": lr,
+                    "total": total,
+                    "per_level": [[l, d, c] for l, d, c in report.per_level],
+                },
+            )
+            epoch_end = (step + 1) % cfg.steps_per_epoch == 0 or step + 1 == total_steps
+            if epoch_end and cfg.checkpoint_path is not None:
+                train_meta = {
+                    "stage": stage_tag,
+                    "next_step": step + 1,
+                    "epochs": cfg.epochs,
+                    **{name: getattr(cfg, name) for name in _TRAJECTORY_FIELDS},
+                    **(extra_meta or {}),
+                }
+                save_stage_checkpoint(cfg.checkpoint_path, model, optimizer, train_meta)
     return history
 
 

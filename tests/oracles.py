@@ -7,6 +7,7 @@ they are slow.  Production code must agree with these, not the reverse.
 from __future__ import annotations
 
 import numpy as np
+from scipy import ndimage
 
 from hemoseg.autodiff import Tensor
 
@@ -169,6 +170,30 @@ def conv_then_batch_norm_eval(conv, bn, x, train=False):
     then ``batch_norm_eval`` with the batch-norm layer's parameters and stats."""
     y = conv(x).data
     return Tensor(batch_norm_eval(y, bn.gamma.data, bn.beta.data, bn.stats.mean, bn.stats.var))
+
+
+def augment_whole_volume_then_crop(image, mask, angle, flips, smooth_sigma, origin, crop_shape):
+    """The noise-free augmentation as whole-volume steps, in order: rotate
+    every axial plane by ``angle`` degrees (``ndimage.rotate``, linear for
+    the image, nearest for the mask, 0 outside; None skips it), flip rows
+    and columns as ``flips`` says, smooth in-plane by ``smooth_sigma``
+    (None skips it), pad symmetrically (extra voxel trailing) with 0 up to
+    ``crop_shape``, and cut the crop at ``origin``."""
+    img = np.asarray(image, dtype=np.float64)
+    msk = np.asarray(mask)
+    if angle is not None:
+        img = ndimage.rotate(img, angle, axes=(1, 2), reshape=False, order=1, mode="constant", cval=0.0)
+        msk = ndimage.rotate(msk, angle, axes=(1, 2), reshape=False, order=0, mode="constant", cval=0)
+    if flips[0]:
+        img, msk = img[:, ::-1, :], msk[:, ::-1, :]
+    if flips[1]:
+        img, msk = img[:, :, ::-1], msk[:, :, ::-1]
+    if smooth_sigma is not None:
+        img = ndimage.gaussian_filter(img, sigma=(0.0, smooth_sigma, smooth_sigma))
+    pads = [(max(0, c - n) // 2, max(0, c - n) - max(0, c - n) // 2) for n, c in zip(img.shape, crop_shape)]
+    img, msk = np.pad(img, pads), np.pad(msk, pads)
+    crop = tuple(slice(o, o + c) for o, c in zip(origin, crop_shape))
+    return img[crop], msk[crop]
 
 
 def numeric_gradient(f, x, eps=1e-6):

@@ -322,6 +322,43 @@ class TestConv3d:
         assert held <= 1.5 * x.data.nbytes, f"forward holds {held / x.data.nbytes:.2f}x the input"
 
 
+class TestScratchArena:
+    def test_second_conv_step_allocates_only_its_results(self):
+        # inside the arena a conv's gathered columns, accumulators and grid
+        # gradient reuse the first step's buffers: the second forward +
+        # backward allocates its output and gradients and a few weight-sized
+        # transients, and the output shares no memory with the arena
+        rng = np.random.default_rng(37)
+        x = Tensor(rng.standard_normal((2, 8, 8, 32, 32)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((8, 8, 3, 3, 3)).astype(np.float32), requires_grad=True)
+        b = Tensor(np.zeros(8, dtype=np.float32), requires_grad=True)
+        g = np.ones(x.shape, dtype=np.float32)
+        with ad.scratch_arena():
+            for step in range(2):
+                x.grad = w.grad = b.grad = None
+                if step:
+                    tracemalloc.start()
+                try:
+                    out = conv3d(x, w, b, padding=(1, 1, 1))
+                    out.record.apply(g)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+            arena = list(ad._arena.buffers.values())
+        results = out.data.nbytes + x.grad.nbytes + w.grad.nbytes + b.grad.nbytes
+        assert arena and sum(buf.nbytes for buf in arena) > results  # the arena is in use
+        assert peak <= results + 4 * w.data.nbytes + 65536, f"allocated {peak / results:.2f}x the results"
+        for buf in arena:
+            assert not any(np.shares_memory(a, buf) for a in (out.data, x.grad, w.grad, b.grad))
+
+    def test_outside_the_arena_nothing_is_kept(self):
+        assert getattr(ad._arena, "buffers", None) is None
+        with ad.scratch_arena():
+            conv3d(Tensor(np.ones((1, 2, 4, 4, 4))), Tensor(np.ones((2, 2, 3, 3, 3))), None, padding=(1, 1, 1))
+            assert ad._arena.buffers
+        assert getattr(ad._arena, "buffers", None) is None
+
+
 class TestConvStridedDown:
     def test_extents_divide_exactly(self):
         x = Tensor(np.zeros((1, 2, 8, 16, 16)))
@@ -416,6 +453,26 @@ class TestBatchNorm3d:
         x = np.full((1, 1, 1, 1, 2), 6.0)
         out = oracles.batch_norm_eval(x, np.array([3.0]), np.array([1.0]), np.array([2.0]), np.array([4.0]))
         np.testing.assert_allclose(out, 3.0 * (6.0 - 2.0) / np.sqrt(4.0 + 1e-5) + 1.0, rtol=1e-5)
+
+    @pytest.mark.parametrize(
+        "shape", [(2, 8, 8, 32, 32), (2, 8, 16, 32, 32), (2, 16, 4, 8, 8), (2, 16, 8, 8, 8), (2, 32, 4, 4, 4)]
+    )
+    def test_float32_matches_float64(self, shape):
+        # the toy cascade's batch-norm shapes: output and all three gradients
+        # in float32 within 5e-7 of float64, relative to the largest magnitude
+        rng = np.random.default_rng(43)
+        c = shape[1]
+        x = rng.normal(loc=rng.uniform(-2, 2), scale=rng.uniform(0.1, 3), size=shape)
+        gamma, beta, g = rng.uniform(0.5, 1.5, c), rng.normal(size=c), rng.normal(size=shape)
+        results = []
+        for dtype in (np.float32, np.float64):
+            leaves = [Tensor(a.astype(dtype), requires_grad=True) for a in (x, gamma, beta)]
+            out = batch_norm3d(*leaves, BatchNormStats(c, dtype=dtype))
+            out.record.apply(g.astype(dtype))
+            results.append([out.data] + [leaf.grad for leaf in leaves])
+        for name, got, want in zip(("out", "x", "gamma", "beta"), *results):
+            err = np.abs(got - want).max() / np.abs(want).max()
+            assert err <= 5e-7, f"{name}: {err:.2e}"
 
     def test_gradcheck_train_mode(self):
         rng = np.random.default_rng(41)

@@ -415,14 +415,16 @@ class TestParser:
 
 
 # compare-tada inputs: directory name -> (file written beside a copy of the
-# phantom masks, its JSON payload)
+# phantom masks (cases 0000-0002), its JSON payload, what stderr must say after the file's path)
 BAD_JSON = {
-    "list_dataset": ("dataset.json", [1, 2]),
-    "int_cases": ("dataset.json", {"cases": 5}),
-    "no_case_id": ("dataset.json", {"cases": [{"lesion_class": "solitary"}]}),
-    "unknown_class": ("dataset.json", {"cases": [{"case_id": "0000", "lesion_class": "mixed"}]}),
-    "list_sidecar": ("case_0000_msk.json", [1]),
-    "string_seconds": ("case_0000_msk.json", {"seconds": "abc"}),
+    "list_dataset": ("dataset.json", [1, 2], ""),
+    "int_cases": ("dataset.json", {"cases": 5}, ""),
+    "no_case_id": ("dataset.json", {"cases": [{"lesion_class": "solitary"}]}, ""),
+    "unknown_class": ("dataset.json", {"cases": [{"case_id": "0000", "lesion_class": "mixed"}]}, ""),
+    "list_sidecar": ("case_0000_msk.json", [1], ""),
+    "string_seconds": ("case_0000_msk.json", {"seconds": "abc"}, ""),
+    "unlisted_case": ("dataset.json", {"cases": [{"case_id": "0000", "lesion_class": "solitary"}]},
+                      ": does not list case 0001, 0002"),
 }
 
 # Bad invocations, run as a separate process so stderr shows whether a
@@ -496,8 +498,13 @@ BAD_INVOCATIONS = [
      EXIT_USAGE, "seed must be"),
     # malformed dataset.json or infer sidecar: each directory is both --pred and --gt
     *[(f"compare-tada-{name}", ["compare-tada", "--pred", f"{{{name}}}", "--gt", f"{{{name}}}"],
-       EXIT_DATA, f"{name}/{file}")
-      for name, (file, _) in BAD_JSON.items()],
+       EXIT_DATA, f"{name}/{file}{message}")
+      for name, (file, _, message) in BAD_JSON.items()],
+    # a checkpoint with byte 0xff in its metadata JSON or as a record name's first byte
+    *[(f"checkpoint-{name}", ["infer", "--model", f"{{{name}}}", "--input", "{image}", "--output", "{tmp}/o.rvol"],
+       EXIT_DATA, f"{name}.hsck: {message}")
+      for name, message in (("meta_not_utf8", "malformed __meta__ record"),
+                            ("name_not_utf8", "a record name is not UTF-8"))],
 ]
 
 
@@ -511,8 +518,9 @@ def no_foreground_dir(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def bad_inputs(tmp_path_factory, cascade_ckpts, phantom_dir):
-    """Stage-1 checkpoints with one batch-norm buffer reshaped or with malformed
-    model metadata, stage-2 checkpoints with malformed train metadata, an
+    """Stage-1 checkpoints with one batch-norm buffer reshaped, with malformed
+    model metadata or with a byte that is not UTF-8 in the metadata or a
+    record name, stage-2 checkpoints with malformed train metadata, an
     all-NaN image, masks on a smaller grid than the phantoms' for every
     phantom case, and copies of the phantom masks beside each ``BAD_JSON``
     file."""
@@ -536,18 +544,22 @@ def bad_inputs(tmp_path_factory, cascade_ckpts, phantom_dir):
     train_metas["int_stage2_shape"]["train"]["cascade"]["stage2_input_shape"] = 5
     for name, bad_meta in train_metas.items():
         save_checkpoint(out / f"{name}.hsck", arrays2, bad_meta)
+    raw = bytearray(cascade_ckpts[0].read_bytes())
+    meta_at = raw.index(b'{"', raw.index(b"__meta__"))
+    for name, at in (("meta_not_utf8", meta_at + 2), ("name_not_utf8", 11)):  # 11: the first record's name
+        (out / f"{name}.hsck").write_bytes(bytes(raw[:at]) + b"\xff" + bytes(raw[at + 1 :]))
     write_rvol(out / "nan.rvol", VolumeImage(np.full((16, 64, 64), np.nan, np.float32), (5.0, 1.0, 1.0)))
     tiny = out / "tiny"
     tiny.mkdir()
     for p in phantom_dir.glob("case_*_msk.rvol"):
         write_rvol(tiny / p.name, SegMask(np.ones((2, 3, 3), np.uint8), (5.0, 1.0, 1.0)))
-    for name, (file, payload) in BAD_JSON.items():
+    for name, (file, payload, _) in BAD_JSON.items():
         (out / name).mkdir()
         for p in phantom_dir.glob("case_*_msk.rvol"):
             (out / name / p.name).write_bytes(p.read_bytes())
         (out / name / file).write_text(json.dumps(payload))
     return {"var1": out / "var1.hsck", "var3": out / "var3.hsck", "nan": out / "nan.rvol", "tiny": tiny,
-            **{name: out / f"{name}.hsck" for name in (*metas, *train_metas)},
+            **{name: out / f"{name}.hsck" for name in (*metas, *train_metas, "meta_not_utf8", "name_not_utf8")},
             **{name: out / name for name in BAD_JSON}}
 
 

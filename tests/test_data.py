@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 
+import oracles
+from hemoseg import augment as augment_module
 from hemoseg.augment import AugmentPolicy, augment, hu_window, random_crop, zscore_normalize
 from hemoseg.phantoms import (
     BRAIN_FRACTION,
@@ -330,7 +332,39 @@ class TestAugment:
         policy = AugmentPolicy.disabled(img.shape)
         policy.noise_prob = 1.0
         policy.smooth_prob = 1.0
-        policy.contrast_prob = 1.0
         out_img, out_msk = augment(img, msk, np.random.default_rng(4), policy)
         np.testing.assert_array_equal(out_msk, msk)
         assert not np.array_equal(out_img, img.astype(np.float32))
+
+    @pytest.mark.parametrize("part", [np.s_[:], np.s_[1:6, 22:41, :]], ids=["inside", "padded"])
+    def test_patch_equals_crop_of_whole_volume_pipeline(self, part):
+        # noise off: sampling only the crop and its smoothing halo through the
+        # rotated, flipped grid matches rotating, flipping and smoothing the
+        # whole volume, then padding and cropping at the same origin (corners
+        # included); the "padded" volume is smaller than the crop on two axes
+        img, msk = (np.ascontiguousarray(a[part]) for a in lesion_volume((16, 64, 64)))
+        crop = (8, 32, 32)
+        padded = [max(n, c) for n, c in zip(img.shape, crop)]
+        rng = np.random.default_rng(5)
+        for angle in (None, 17.3, -29.9, 90.0, 0.004):
+            for flips in ((False, False), (True, False), (False, True), (True, True)):
+                for sigma in (None, 0.5, 0.83, 1.0):
+                    geometry = augment_module._Geometry(img.shape, angle, flips)
+                    for origin in ([0, 0, 0], [n - c for n, c in zip(padded, crop)],
+                                   [int(rng.integers(n - c + 1)) for n, c in zip(padded, crop)]):
+                        got_img, got_msk = augment_module._patch(img, msk, geometry, origin, crop, sigma)
+                        want_img, want_msk = oracles.augment_whole_volume_then_crop(
+                            img, msk, angle, flips, sigma, origin, crop
+                        )
+                        np.testing.assert_allclose(got_img, want_img, rtol=0, atol=1e-12)
+                        np.testing.assert_array_equal(got_msk, want_msk)
+
+    def test_foreground_centre_follows_the_rotation(self):
+        # the centre is drawn from the input mask and carried through the
+        # rotation and flips, so a foreground-biased crop still hits the lesion
+        img, msk = lesion_volume()
+        policy = AugmentPolicy.geometric_only((4, 16, 16))
+        policy.fg_bias_prob = 1.0
+        for seed in range(20):
+            _, out_msk = augment(img, msk, np.random.default_rng(seed), policy)
+            assert out_msk.sum() > 0
