@@ -10,13 +10,16 @@ nnU-Net's spatial augmentation, Isensee et al. 2021).  Without noise the
 patch equals, to rounding, the crop of the whole volume rotated, flipped
 and smoothed in that order.  Intensity steps touch the image only.  Z-score normalization is a
 separate step applied to the cropped patch.
+
+Only training augments, so ``scipy.ndimage`` and ``scipy.special`` are
+imported at the first rotation or smoothing, not with this module: the
+inference, evaluation and volumetry paths load no scipy.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage, special
 
 from .volumes import VolumeImage
 
@@ -121,6 +124,8 @@ class _Geometry:
     def __init__(self, shape, angle, flips):
         self.shape, self.angle, self.flips = tuple(shape), angle, flips
         if angle is not None:
+            from scipy import special
+
             c, s = special.cosdg(angle), special.sindg(angle)
             self.rot = np.array([[c, s], [-s, c]])
             centre = (np.asarray(self.shape[1:]) - 1) / 2.0
@@ -138,19 +143,21 @@ class _Geometry:
         return z, int(np.rint(self._unflip(1, y))), int(np.rint(self._unflip(2, x)))
 
     def sample(self, image, mask, region):
-        """The augmented volume's [lo, hi) ``region`` per axis, of image and mask."""
+        """The augmented volume's [lo, hi) ``region`` per axis, of image (float64) and mask."""
         zs, ys, xs = (np.arange(lo, hi) for lo, hi in region)
         ys, xs = self._unflip(1, ys), self._unflip(2, xs)
         if self.angle is None:
             grid = np.ix_(zs, ys, xs)
-            return image[grid], mask[grid]
+            return image[grid].astype(np.float64, copy=False), mask[grid]
+        from scipy import ndimage
+
         y, x = ys[:, None].astype(np.float64), xs[None, :].astype(np.float64)
         coords = np.empty((3, len(zs), len(ys), len(xs)))
         coords[0] = zs[:, None, None]
         coords[1] = y * self.rot[0, 0] + x * self.rot[0, 1] + self.offset[0]
         coords[2] = y * self.rot[1, 0] + x * self.rot[1, 1] + self.offset[1]
         return (
-            ndimage.map_coordinates(image, coords, order=1, mode="constant", cval=PAD_VALUE),
+            ndimage.map_coordinates(image, coords, np.float64, order=1, mode="constant", cval=PAD_VALUE),
             ndimage.map_coordinates(mask, coords, order=0, mode="constant", cval=0),
         )
 
@@ -169,6 +176,8 @@ def _patch(image, mask, geometry, origin, crop_shape, smooth_sigma=None, noise=N
     if noise is not None:
         img = img + noise(img.shape)
     if smooth_sigma is not None:
+        from scipy import ndimage
+
         img = ndimage.gaussian_filter(img, sigma=(0.0, smooth_sigma, smooth_sigma))
     out_img = np.full(crop_shape, PAD_VALUE, dtype=img.dtype)
     out_msk = np.zeros(crop_shape, dtype=msk.dtype)
@@ -188,7 +197,7 @@ def augment(image: np.ndarray, mask: np.ndarray, rng, policy: AugmentPolicy):
     the rotation and flips), then the noise values over the crop and its
     smoothing halo.
     """
-    img = np.asarray(image, dtype=np.float64)
+    img = np.asarray(image)  # widened to float64 only where sampled
     msk = np.asarray(mask)
     if img.shape != msk.shape:
         raise ValueError(f"image {img.shape} and mask {msk.shape} must be paired")

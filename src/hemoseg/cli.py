@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -186,6 +187,7 @@ def cmd_infer(args) -> Made:
         "input": str(args.input),
         **info,
         "seconds": round(seconds, 6),
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 3),  # ru_maxrss is KiB on Linux
         "volume_ml": voxel_volume_ml(mask),
         "foreground_voxels": int(mask.voxels.sum()),
     }

@@ -241,7 +241,7 @@ def load_stage_checkpoint(path) -> tuple[UNet3D, dict[str, np.ndarray], dict]:
 def _window_dataset(dataset):
     if len(dataset) == 0:
         raise DatasetError("empty dataset")
-    return [(hu_window(img).voxels.astype(np.float64), msk.voxels) for img, msk in dataset]
+    return [(hu_window(img).voxels, msk.voxels) for img, msk in dataset]
 
 
 def _stage1_batch(prepared, cfg: TrainConfig, policy: AugmentPolicy, step: int):

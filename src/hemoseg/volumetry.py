@@ -9,11 +9,11 @@ Two estimators of bleed volume from a binary mask:
   estimate is A*B*C/2, the standard simplification of the ellipsoid volume.
 
 A and B are measured between foreground voxel centers in millimetres.  The
-extreme pair search runs over convex-hull vertices (the diameter of a point
-set is attained at hull vertices), falling back to a full pairwise scan for
-degenerate slices; distances and tie-breaks match a brute-force scan
-exactly.  ABC/2 is only reported for solitary lesions; scattered bleeds get
-no such estimate.
+longest pair is searched, with numpy alone, among the points that are first
+or last in their row and also in their column (no convex hull: any other
+point lies strictly between two points of the set, so it ends no longest
+pair); distances and tie-breaks match a brute-force scan exactly.  ABC/2 is
+only reported for solitary lesions; scattered bleeds get no such estimate.
 """
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .volumes import SegMask
 
@@ -52,39 +51,50 @@ def voxel_volume_ml(mask: SegMask) -> float:
     return count * voxel_mm3 / 1000.0
 
 
+def _candidates(pts):
+    """The points of ``pts`` (int, (m, 2)) that are first or last in their
+    row and also first or last in their column, sorted by row, then column."""
+
+    def ends(key, other):
+        order = np.lexsort((other, key))
+        k = key[order]
+        change = k[1:] != k[:-1]
+        out = np.empty(len(key), dtype=bool)
+        out[order] = np.r_[True, change] | np.r_[change, True]
+        return out
+
+    cand = pts[ends(pts[:, 0], pts[:, 1]) & ends(pts[:, 1], pts[:, 0])]
+    return cand[np.lexsort((cand[:, 1], cand[:, 0]))]
+
+
 def slice_extremes(points_rc, spacing_rc):
     """Widest center-to-center pair on a slice: (distance_mm, index pair).
 
     The returned pair is the lexicographically smallest among maximizers,
     each pair itself sorted.  Matches an exhaustive scan bit for bit: the
-    same subtract-scale-hypot arithmetic runs here, only the candidate set
-    shrinks to hull vertices (interior points cannot attain the diameter).
+    same subtract-scale-hypot arithmetic runs here, over all pairs of
+    candidates at once.  The candidates are the points that are first or
+    last in their row and also first or last in their column, at most
+    2*min(rows, cols) of them.  Any other point p lies strictly between two
+    points q1, q2 of its row or column; squared distance is strictly convex
+    along that line, so for every x, |x - p| < max(|x - q1|, |x - q2|) and p
+    ends no longest pair, tied ones included.  Anisotropic spacing scales
+    the line but keeps p between q1 and q2.
     """
     pts = np.asarray(points_rc, dtype=np.int64)
     if len(pts) < 2:
         raise ValueError("need at least two points")
-    cand = pts
-    if len(pts) > 3:
-        try:
-            scaled = pts.astype(np.float64) * np.asarray(spacing_rc, dtype=np.float64)
-            cand = pts[np.sort(ConvexHull(scaled).vertices)]
-        except QhullError:
-            cand = pts  # collinear or otherwise degenerate slice
+    cand = _candidates(pts)
     fp = cand.astype(np.float64)
     sp = np.asarray(spacing_rc, dtype=np.float64)
-    best = -1.0
-    best_pair = None
-    for i in range(len(cand)):
-        for j in range(i + 1, len(cand)):
-            dvec = (fp[j] - fp[i]) * sp
-            dist = float(np.hypot(dvec[0], dvec[1]))
-            pa = (int(cand[i][0]), int(cand[i][1]))
-            pb = (int(cand[j][0]), int(cand[j][1]))
-            pair = (pa, pb) if pa <= pb else (pb, pa)
-            if dist > best or (dist == best and pair < best_pair):
-                best = dist
-                best_pair = pair
-    return best, best_pair
+    # dist[i, j] == dist[j, i] bit for bit: a - b == -(b - a) and hypot ignores signs.
+    dist = np.hypot((fp[None, :, 0] - fp[:, None, 0]) * sp[0], (fp[None, :, 1] - fp[:, None, 1]) * sp[1])
+    best = dist.max()
+    # cand is sorted, so the first maximizer in row-major order has i <= j
+    # and the smallest (cand[i], cand[j]).
+    i, j = np.unravel_index(np.argmax(dist == best), dist.shape)
+    pair = (int(cand[i, 0]), int(cand[i, 1])), (int(cand[j, 0]), int(cand[j, 1]))
+    return float(best), pair
 
 
 def _perpendicular_unit(a_pair, spacing_rc):

@@ -152,6 +152,7 @@ class TestInfer:
         assert sidecar["mode"] == "cascade"
         assert sidecar["volume_ml"] == pytest.approx(voxel_volume_ml(mask))
         assert sidecar["seconds"] > 0
+        assert sidecar["peak_rss_mb"] > 0
         assert (tmp_path / "pred" / "case_0000_msk_manifest.json").exists()
 
     def test_single_stage_mode(self, tmp_path, phantom_dir, cascade_ckpts):
@@ -412,6 +413,45 @@ class TestParser:
 
     def test_exit_code_constants(self):
         assert (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC) == (0, 2, 3, 4)
+
+
+def _run_fresh(code, *args):
+    """Run ``code`` in a new interpreter that imports the package under test;
+    the pytest process itself has scipy loaded already."""
+    env = {**os.environ, "PYTHONPATH": str(Path(hemoseg.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+class TestScipyFootprint:
+    def test_inference_eval_and_volumetry_load_no_scipy(self, tmp_path, cascade_ckpts):
+        _run_fresh("""
+import sys
+from hemoseg.cli import main
+data, pred, report, s1, s2 = sys.argv[1:]
+for argv in (
+    ["gen-phantoms", "--out", data, "--count", "1", "--seed", "4"],
+    ["infer", "--model", s1 + "," + s2, "--input", data + "/case_0000_img.rvol",
+     "--output", pred + "/case_0000_msk.rvol"],
+    ["eval", "--pred", pred, "--gt", data],
+    ["volume", "--mask", pred + "/case_0000_msk.rvol", "--method", "both"],
+    ["compare-tada", "--pred", pred, "--gt", data, "--out", report],
+):
+    assert main(argv) == 0, argv
+loaded = [m for m in ("scipy.ndimage", "scipy.spatial", "scipy.linalg", "scipy.special") if m in sys.modules]
+assert not loaded, loaded
+""", tmp_path / "data", tmp_path / "pred", tmp_path / "report.json", *cascade_ckpts)
+
+    def test_augmentation_loads_ndimage_at_first_use(self):
+        _run_fresh("""
+import sys
+import numpy as np
+from hemoseg.augment import AugmentPolicy, augment
+assert "scipy.ndimage" not in sys.modules
+augment(np.zeros((8, 32, 32), np.float32), np.zeros((8, 32, 32), np.uint8), np.random.default_rng(0), AugmentPolicy())
+assert "scipy.ndimage" in sys.modules
+""")
 
 
 # compare-tada inputs: directory name -> (file written beside a copy of the

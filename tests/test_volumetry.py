@@ -3,11 +3,13 @@ import json
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from hemoseg.phantoms import rasterize_ellipsoid
 from hemoseg.volumes import SegMask
 from hemoseg.volumetry import (
     TadaMeasurement,
+    _candidates,
     compare_methods,
     perpendicular_width,
     slice_extremes,
@@ -84,6 +86,30 @@ def random_blob_points(rng, spacing):
     return pts if len(pts) >= 2 else np.array([[3, 3], [5, 9]])
 
 
+def scattered_points(rng):
+    """Two to four small random blobs at random places on a 64x64 slice,
+    merged into one point set (overlaps counted once) in shuffled order."""
+    blobs = []
+    for _ in range(rng.integers(2, 5)):
+        blob = random_blob_points(rng, (2.0, 2.0))
+        blobs.append(blob - blob.min(axis=0) + rng.integers(0, 40, size=2))
+    return rng.permutation(np.unique(np.concatenate(blobs), axis=0))
+
+
+def assert_matches_scan(pts, spacing, scan_pts=None):
+    """slice_extremes and perpendicular_width on ``pts`` equal the
+    exhaustive scans on ``scan_pts`` (default ``pts``) bit for bit."""
+    scan_pts = pts if scan_pts is None else scan_pts
+    a, pair = slice_extremes(pts, spacing)
+    a_ref, pair_ref = tada_extremes_scan(scan_pts, spacing)
+    assert (a, pair) == (a_ref, pair_ref)
+    assert perpendicular_width(pts, spacing, pair) == tada_b_scan(scan_pts, spacing, pair_ref)
+    return a, pair
+
+
+SPACINGS = [(1.0, 1.0), (0.7, 1.3), (0.45, 0.9), (1.0, 0.3)]
+
+
 class TestSliceExtremesAgainstScan:
     def test_random_blobs_match_exhaustive_scan_exactly(self):
         rng = np.random.default_rng(2024)
@@ -97,6 +123,51 @@ class TestSliceExtremesAgainstScan:
             b = perpendicular_width(pts, spacing, pair)
             b_ref = tada_b_scan(pts, spacing, pair_ref)
             assert b == b_ref, f"trial {trial}: {b} != {b_ref}"
+
+    @pytest.mark.parametrize("spacing", SPACINGS)
+    def test_scattered_shuffled_point_sets_match_scan(self, spacing):
+        rng = np.random.default_rng(31)
+        for _ in range(6):
+            pts = scattered_points(rng)
+            a, pair = assert_matches_scan(pts, spacing)
+            assert slice_extremes(pts[::-1], spacing) == (a, pair)
+
+    @pytest.mark.parametrize("spacing", SPACINGS)
+    @pytest.mark.parametrize("length", [2, 3, 7, 20])
+    def test_diagonal_lines_match_scan(self, spacing, length):
+        k = np.arange(length)
+        rng = np.random.default_rng(length)
+        for pts in (np.stack([k + 3, k + 5], axis=1), np.stack([k + 3, length + 5 - k], axis=1)):
+            assert len(_candidates(pts)) == length  # every point is first and last in its row and column
+            assert_matches_scan(rng.permutation(pts), spacing)
+
+    @pytest.mark.parametrize("spacing", SPACINGS)
+    @pytest.mark.parametrize("rows,cols", [(2, 2), (2, 9), (5, 5), (7, 3), (12, 20)])
+    def test_filled_rectangles_match_scan(self, spacing, rows, cols):
+        pts = np.argwhere(np.ones((rows, cols), dtype=bool)) + (4, 6)
+        a, pair = assert_matches_scan(np.random.default_rng(rows * cols).permutation(pts), spacing)
+        # both diagonals tie; the pair starting at the top-left corner wins
+        assert pair == ((4, 6), (rows + 3, cols + 5))
+
+    def test_filled_512_disc_matches_scan_over_hull_vertices(self):
+        # The scan over the disc's 205k points would take hours; its hull
+        # vertices hold every longest pair and both ends of the width.
+        r, c = np.mgrid[:512, :512]
+        pts = np.argwhere((r - 255.5) ** 2 + (c - 255.5) ** 2 <= 255.5**2)
+        hull = pts[np.sort(ConvexHull(pts).vertices)]
+        for spacing in [(0.45, 0.45), (0.45, 0.9)]:
+            a, _ = assert_matches_scan(pts, spacing, scan_pts=hull)
+            assert a == pytest.approx(511 * max(spacing), rel=0.01)
+
+    def test_candidates_include_every_hull_vertex(self):
+        rng = np.random.default_rng(77)
+        for trial in range(30):
+            spacing = SPACINGS[trial % len(SPACINGS)]
+            pts = random_blob_points(rng, spacing) if trial % 2 else scattered_points(rng)
+            cand = {tuple(p) for p in _candidates(pts)}
+            assert {tuple(p) for p in pts[ConvexHull(pts).vertices]} <= cand
+            rows, cols = np.ptp(pts, axis=0) + 1
+            assert len(cand) <= 2 * min(rows, cols)
 
     def test_tie_broken_toward_smallest_pair(self):
         # square corners: both diagonals have the same length
