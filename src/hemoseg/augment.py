@@ -37,10 +37,12 @@ def hu_window(image: VolumeImage) -> VolumeImage:
 
 
 def zscore_normalize(patch: np.ndarray) -> np.ndarray:
-    """Zero-mean unit-std patch; the std is floored at 1e-8 so constants map to 0."""
+    """Zero-mean unit-std patch; the std is floored at 1e-8 so constants map to 0.
+    Centres once and takes the std from the centred patch, as ``np.std`` does."""
     patch = np.asarray(patch, dtype=np.float64)
-    std = max(float(patch.std()), 1e-8)
-    return ((patch - patch.mean()) / std).astype(np.float32)
+    centred = patch - patch.mean()
+    std = max(float(np.sqrt(np.square(centred).mean())), 1e-8)
+    return (centred / std).astype(np.float32)
 
 
 @dataclass

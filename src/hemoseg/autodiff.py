@@ -248,8 +248,10 @@ def _result(data: np.ndarray, parents: tuple, op: str, backward) -> Tensor:
     if _finite_checks and not np.all(np.isfinite(data)):
         raise FloatingPointError(f"non-finite values produced by {op}")
     out = Tensor(data)
-    if any(p.requires_grad or p.record is not None for p in parents):
-        out.record = OpRecord(op, parents, backward)
+    for p in parents:
+        if p.requires_grad or p.record is not None:
+            out.record = OpRecord(op, parents, backward)
+            break
     return out
 
 
@@ -385,22 +387,10 @@ _ALL = (slice(None), slice(None))
 # Column block of the multi-matmul convs: the gathered rows and the accumulator
 # of one block stay in cache across the lead taps' matmuls and accumulate passes.
 # 512-640 KiB was fastest of 128 KiB-2 MiB and of no blocking on the toy
-# cascade's stride-1 3x3x3 convs (2-vCPU Xeon, 4 MiB L2); see ROADMAP item 2.
+# cascade's stride-1 3x3x3 convs (2-vCPU Xeon, 4 MiB L2); see ROADMAP item 5.
+# A block has at least _MIN_BLOCK_COLS columns however deep the gather is.
 _BLOCK_BYTES = 1 << 19
-
-
-def _pad_channels_first(x, padding, xp=None):
-    """[N,C,D,H,W] as a zero-padded [C,N,D+2pd,H+2ph,W+2pw] buffer, written
-    into ``xp`` when given; a negative padding crops instead."""
-    n, c, *ext = x.shape
-    if xp is None:
-        xp = np.zeros((c, n) + tuple(e + 2 * p for e, p in zip(ext, padding)), dtype=x.dtype)
-    else:
-        xp.fill(0)
-    dst = tuple(slice(max(p, 0), max(p, 0) + e + 2 * min(p, 0)) for e, p in zip(ext, padding))
-    src = tuple(slice(max(-p, 0), e - max(-p, 0)) for e, p in zip(ext, padding))
-    xp[_ALL + dst] = x.transpose(1, 0, 2, 3, 4)[_ALL + src]
-    return xp
+_MIN_BLOCK_COLS = 256
 
 
 def _weight_axes(stride) -> tuple[int, ...]:
@@ -435,9 +425,13 @@ class _ConvPlan:
     offset + rows).  The output is the grid's [:do, :ho, :wo] corner; the
     other columns are computed and dropped.  A strided conv gathers every
     tap's step-sliced window onto the output grid and runs one matmul.
+
+    Everything a call can derive from the shapes (and the input's item
+    size) is computed here once; a plan holds no buffers, so threads may
+    share it.
     """
 
-    def __init__(self, xshape, wshape, stride, padding):
+    def __init__(self, xshape, wshape, stride, padding, itemsize):
         n, c, *ext = xshape
         k, _, kd, kh, kw = wshape
         self.n, self.c, self.k, self.ks, self.ext = n, c, k, (kd, kh, kw), tuple(ext)
@@ -446,14 +440,66 @@ class _ConvPlan:
         self.out = tuple(_conv_out_extent(e, kk, s, p) for e, kk, s, p in zip(ext, self.ks, stride, padding))
         self.stride1 = self.stride == (1, 1, 1)
         self.w_axes = _weight_axes(self.stride)
+        self.w_unaxes = tuple(int(a) for a in np.argsort(self.w_axes))
+        self.w_mat_shape = tuple(self.wshape[a] for a in self.w_axes)
+        # where x lands in the padded [C, N, ...] buffer, and the part of x that lands
+        self.pad_dst = _ALL + tuple(slice(max(p, 0), max(p, 0) + e + 2 * min(p, 0)) for e, p in zip(ext, padding))
+        self.pad_src = _ALL + tuple(slice(max(-p, 0), e - max(-p, 0)) for e, p in zip(ext, padding))
         if self.stride1:
             self.grid = self.padded
-            plane, row = self.grid[1] * self.grid[2], self.grid[2]
-            self.offsets = tuple(i * plane + j * row for i in range(kd) for j in range(kh))
+            # lead tap (i, j) starts i planes and j rows into the flattened grid
+            self.lead, lead_steps = (kd, kh), (self.grid[1] * self.grid[2], self.grid[2])
         else:
-            self.grid, self.offsets = self.out, (0,)
+            self.grid, self.lead, lead_steps = self.out, (1,), (0,)
+        self.offsets = tuple(
+            sum(i * st for i, st in zip(tap, lead_steps)) for tap in itertools.product(*map(range, self.lead))
+        )
         self.cols = n * self.grid[0] * self.grid[1] * self.grid[2]
         self.rows = self.cols - self.offsets[-1]
+        depth = c * (kw if self.stride1 else kd * kh * kw)  # rows of the gathered buffer
+        # the lead taps as one [*lead, depth, columns] view of the gathered buffer
+        self.tap_strides = tuple(st * itemsize for st in lead_steps) + (self.cols * itemsize, itemsize)
+        if self.stride1:
+            # width tap l of the gather: columns [0, cols - l) copy the padded
+            # input from column l on, the last l columns are zero
+            self.shifts = tuple((slice(self.cols - l), slice(l, None), slice(self.cols - l, None))
+                                for l in range(1, kw))
+        else:
+            # every tap's step-sliced window of the padded [C, N, Dp, Hp, Wp]
+            # input, as a [kd, kh, kw, C, N, do, ho, wo] view
+            dp, hp, wp = self.padded
+            sd, sh, sw = self.stride
+            self.windows = (self.ks + (c, n) + self.out,
+                            tuple(st * itemsize for st in (hp * wp, wp, 1, n * dp * hp * wp, dp * hp * wp,
+                                                           sd * hp * wp, sh * wp, sw)))
+            self.tap_windows = tuple(
+                _ALL + tuple(slice(i, i + s * m, s) for i, s, m in zip(tap, self.stride, self.grid))
+                for tap in itertools.product(*map(range, self.ks))
+            )
+            self.inside = _ALL + tuple(slice(p, p + e) for p, e in zip(self.padding, self.ext))
+        if len(self.offsets) == 1:
+            self.blocks = ((0, self.rows),)  # a single matmul takes all columns at once
+        else:
+            step = max(_MIN_BLOCK_COLS, _BLOCK_BYTES // (itemsize * (depth + k)))
+            self.blocks = tuple((s, min(s + step, self.rows)) for s in range(0, self.rows, step))
+        # per column block: the accumulator's columns, the block's width and each lead tap's columns
+        self.block_taps = tuple((slice(s, e), slice(e - s), tuple(slice(off + s, off + e) for off in self.offsets))
+                                for s, e in self.blocks)
+        self.grid_shape = (k, n) + self.grid
+        self.corner = _ALL + tuple(slice(o) for o in self.out)
+        self.out_shape = (n, k) + self.out
+        self.bias_shape = (1, k, 1, 1, 1)
+        self.back_pad = tuple(kk - 1 - p for kk, p in zip(self.ks, self.padding))
+
+    def pad(self, x, xp=None):
+        """[N,C,D,H,W] as a zero-padded [C,N,D+2pd,H+2ph,W+2pw] buffer, written
+        into ``xp`` when given; a negative padding crops instead."""
+        if xp is None:
+            xp = np.zeros((self.c, self.n) + self.padded, dtype=x.dtype)
+        else:
+            xp.fill(0)
+        xp[self.pad_dst] = x.transpose(1, 0, 2, 3, 4)[self.pad_src]
+        return xp
 
     def weights(self, w):
         """The [lead taps, K, T*C] weight matrices: a copy, or a view of a
@@ -465,89 +511,91 @@ class _ConvPlan:
         if self.stride1:
             # width tap 0 is the padded input itself; tap l is it shifted by l
             buf = _scratch("gather", (self.ks[2], self.c, self.cols), x.dtype)
-            flat = _pad_channels_first(x, self.padding, buf[0].reshape((self.c, self.n) + self.grid))
-            flat = flat.reshape(self.c, self.cols)
-            for l, shifted in enumerate(buf[1:], start=1):
-                shifted[:, : self.cols - l] = flat[:, l:]
-                shifted[:, self.cols - l :] = 0  # read only by dropped columns
+            flat = self.pad(x, buf[0].reshape((self.c, self.n) + self.grid)).reshape(self.c, self.cols)
+            for shifted, (dst, src, tail) in zip(buf[1:], self.shifts):
+                shifted[:, dst] = flat[:, src]
+                shifted[:, tail] = 0  # read only by dropped columns
             return buf.reshape(-1, self.cols)
-        xp = _pad_channels_first(x, self.padding)
-        view = np.lib.stride_tricks.sliding_window_view(xp, self.ks, axis=(2, 3, 4))
-        view = np.moveaxis(view[_ALL + tuple(slice(None, None, s) for s in self.stride)], (5, 6, 7), (0, 1, 2))
-        buf = _scratch("gather", view.shape, x.dtype)
-        np.copyto(buf, view)
+        shape, strides = self.windows
+        buf = _scratch("gather", shape, x.dtype)
+        np.copyto(buf, np.ndarray(shape, x.dtype, self.pad(x), 0, strides))
         return buf.reshape(-1, self.cols)
 
-    def blocks(self, depth, itemsize):
-        """Column blocks [s, e) of the rows; a single matmul takes them all at once."""
-        if len(self.offsets) == 1:
-            return [(0, self.rows)]
-        step = max(256, _BLOCK_BYTES // (itemsize * depth))
-        return [(s, min(s + step, self.rows)) for s in range(0, self.rows, step)]
+    def lead_taps(self, cols, s, e):
+        """Columns [s, e) of every lead tap of the gathered buffer ``cols``,
+        as one [*lead, T*C, e - s] strided view of it: the lowered buffer
+        shared by all taps of Cho and Brand 2017 (MEC), which a batched
+        matmul runs tap by tap."""
+        return np.ndarray(self.lead + (cols.shape[0], e - s), cols.dtype, cols, s * cols.itemsize, self.tap_strides)
 
     def on_grid(self, g):
         """Output gradient g [N,K,do,ho,wo] on the grid's columns, zero
         outside the output corner, as a [K, cols] array."""
-        g_cols = _scratch("g_cols", (self.k, self.n) + self.grid, g.dtype)
+        g_cols = _scratch("g_cols", self.grid_shape, g.dtype)
         g_cols.fill(0)
-        g_cols[_ALL + tuple(slice(o) for o in self.out)] = g.transpose(1, 0, 2, 3, 4)
+        g_cols[self.corner] = g.transpose(1, 0, 2, 3, 4)
         return g_cols.reshape(self.k, self.cols)
 
     def weight_grad(self, x, g_cols):
         """``cols @ g.T`` per lead tap, against the input gathered again,
-        as a [K, C, kd, kh, kw] array.  (``g @ cols.T``, the same product
-        transposed, runs up to 2x slower in OpenBLAS for K >= 16.)"""
+        as a [K, C, kd, kh, kw] array: one batched matmul over the lead taps
+        per column block.  (``g @ cols.T``, the same product transposed,
+        runs up to 2x slower in OpenBLAS for K >= 16.)"""
         cols = self.gather(x)
-        blocks = self.blocks(cols.shape[0] + self.k, cols.itemsize)
-        parts = _scratch("parts", (len(blocks), len(self.offsets), cols.shape[0], self.k), g_cols.dtype)
-        for part, (s, e) in zip(parts, blocks):
-            for t, off in enumerate(self.offsets):
-                np.matmul(cols[:, off + s : off + e], g_cols[:, s:e].T, out=part[t])
-        shape = tuple(self.wshape[a] for a in self.w_axes)
-        return parts.sum(axis=0).transpose(0, 2, 1).reshape(shape).transpose(np.argsort(self.w_axes))
+        parts = _scratch("parts", (len(self.blocks),) + self.lead + (cols.shape[0], self.k), g_cols.dtype)
+        for part, (s, e) in zip(parts, self.blocks):
+            np.matmul(self.lead_taps(cols, s, e), g_cols[:, s:e].T, out=part)
+        grad = parts.sum(axis=0).reshape(len(self.offsets), -1, self.k).transpose(0, 2, 1)
+        return grad.reshape(self.w_mat_shape).transpose(self.w_unaxes)
 
     def strided_input_grad(self, w, g_cols):
         """Strided convs: ``W.T @ g``, each tap's rows added back where that
         tap read, as a [N,C,D,H,W] array (the adjoint of the gather)."""
         g_taps = np.matmul(self.weights(w)[0].T, g_cols).reshape((-1, self.c, self.n) + self.grid)
         gxp = np.zeros((self.c, self.n) + self.padded, dtype=g_taps.dtype)
-        for g_tap, tap in zip(g_taps, itertools.product(*map(range, self.ks))):
-            gxp[_ALL + tuple(slice(i, i + s * m, s) for i, s, m in zip(tap, self.stride, self.grid))] += g_tap
-        inside = tuple(slice(p, p + e) for p, e in zip(self.padding, self.ext))
-        return gxp[_ALL + inside].transpose(1, 0, 2, 3, 4)
+        for g_tap, window in zip(g_taps, self.tap_windows):
+            gxp[window] += g_tap
+        return gxp[self.inside].transpose(1, 0, 2, 3, 4)
 
 
 @functools.lru_cache(maxsize=256)
-def _conv_plan(xshape, wshape, stride, padding) -> _ConvPlan:
-    """The ``_ConvPlan`` of one conv shape, built once: a plan is a pure
-    function of the shapes and is never changed after ``__init__``."""
-    return _ConvPlan(xshape, wshape, stride, padding)
+def _conv_plan(xshape, wshape, stride, padding, itemsize) -> _ConvPlan:
+    """The ``_ConvPlan`` of one conv shape and input item size, built once: a
+    plan is a pure function of them and is never changed after ``__init__``."""
+    return _ConvPlan(xshape, wshape, stride, padding, itemsize)
 
 
 def _conv_forward(x, w, b, stride, padding):
     """conv3d on arrays: x [N,C,D,H,W], w [K,C,kd,kh,kw], bias b or None;
     returns a C-contiguous [N,K,do,ho,wo] array."""
-    plan = _conv_plan(x.shape, w.shape, tuple(stride), tuple(padding))
-    k = plan.k
+    plan = _conv_plan(x.shape, w.shape, tuple(stride), tuple(padding), x.itemsize)
+    k, rows = plan.k, plan.rows
     dtype = np.result_type(x, w)
     cols = plan.gather(x)
     wmats = plan.weights(w)
     acc = _scratch("acc", (k, plan.cols), dtype)
-    blocks = plan.blocks(cols.shape[0] + k, cols.itemsize)
-    prod = _scratch("prod", (k, blocks[0][1]), dtype) if len(wmats) > 1 else None
-    for s, e in blocks:
-        for t, (off, wm) in enumerate(zip(plan.offsets, wmats)):
-            if t == 0:
-                np.matmul(wm, cols[:, off + s : off + e], out=acc[:, s:e])
-            else:
-                acc[:, s:e] += np.matmul(wm, cols[:, off + s : off + e], out=prod[:, : e - s])
-    del cols, prod
-    corner = acc.reshape((k, plan.n) + plan.grid)[_ALL + tuple(slice(o) for o in plan.out)]
-    out = np.empty((plan.n, k) + plan.out, dtype=dtype)
-    if b is None:
-        np.copyto(out, corner.transpose(1, 0, 2, 3, 4))
+    prod = None
+    if len(wmats) == 1:
+        np.matmul(wmats[0], cols, out=acc)
+    elif len(plan.blocks) == 1:
+        # all lead taps in one batched matmul, then one reduce that adds
+        # them in tap order, as the per-block loop below does
+        prod = _scratch("prod", plan.lead + (k, rows), dtype)
+        np.matmul(wmats.reshape(plan.lead + (k, -1)), plan.lead_taps(cols, 0, rows), out=prod)
+        np.add.reduce(prod.reshape(-1, k, rows), axis=0, out=acc[:, :rows])
     else:
-        np.add(corner.transpose(1, 0, 2, 3, 4), b.reshape(1, k, 1, 1, 1), out=out)
+        prod = _scratch("prod", (k, plan.blocks[0][1]), dtype)
+        for acc_cols, width, taps in plan.block_taps:
+            np.matmul(wmats[0], cols[:, taps[0]], out=acc[:, acc_cols])
+            for wm, tap in zip(wmats[1:], taps[1:]):
+                acc[:, acc_cols] += np.matmul(wm, cols[:, tap], out=prod[:, width])
+    del cols, prod
+    corner = acc.reshape(plan.grid_shape)[plan.corner].transpose(1, 0, 2, 3, 4)
+    out = np.empty(plan.out_shape, dtype=dtype)
+    if b is None:
+        np.copyto(out, corner)
+    else:
+        np.add(corner, b.reshape(plan.bias_shape), out=out)
     return out
 
 
@@ -603,13 +651,16 @@ def conv3d(
     - A wider kernel gathers some of its taps into the matmul's inner
       dimension (``_ConvPlan``).  At stride 1 the kw width taps are copied
       side by side into one [kw*C, cols] buffer, each a shifted copy of
-      the padded input, so a 3x3x3 conv runs 9 matmuls of
-      depth 3C with 8 accumulate passes instead of 27 of depth C with 26;
-      the matmuls run over column blocks that stay in cache.  A strided
-      conv, the single-channel stem among them, gathers all its taps and
-      runs one matmul.
+      the padded input, so a 3x3x3 conv runs 9 lead-tap matmuls of depth
+      3C, each over a strided view of that buffer, instead of 27 of depth
+      C.  A grid that fits one column block runs them as one batched
+      matmul and adds the 9 products with one reduce; a larger grid runs
+      them block by block, in cache, with 8 accumulate passes per block.
+      A strided conv, the single-channel stem among them, gathers all its
+      taps and runs one matmul.
       Backward gathers the input again: the weight gradient is
-      ``cols @ g.T`` per matmul.  The input gradient is, at stride 1, the
+      ``cols @ g.T`` per lead tap, one batched matmul per column block.
+      The input gradient is, at stride 1, the
       same forward kernel applied to ``g`` with the flipped,
       channel-swapped weight and padding k-1-p; at stride > 1, ``W.T @ g``
       with each tap's rows added back where that tap read.
@@ -645,7 +696,7 @@ def conv3d(
             _accum(bias, g.sum(axis=(0, 2, 3, 4)), fresh=True)
         need_w = weight.requires_grad or weight.record is not None
         need_x = x.requires_grad or x.record is not None
-        plan = _conv_plan(x.shape, weight.shape, tuple(stride), tuple(padding))
+        plan = _conv_plan(x.shape, weight.shape, tuple(stride), tuple(padding), x.data.itemsize)
         g_cols = plan.on_grid(g) if need_w or (need_x and not plan.stride1) else None
         if need_w:
             _accum(weight, plan.weight_grad(x.data, g_cols), fresh=True)
@@ -653,8 +704,7 @@ def conv3d(
             if plan.stride1:
                 del g_cols
                 flipped = weight.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
-                back_pad = tuple(kk - 1 - p for kk, p in zip(plan.ks, plan.padding))
-                _accum(x, _conv_forward(g, flipped, None, (1, 1, 1), back_pad), fresh=True)
+                _accum(x, _conv_forward(g, flipped, None, (1, 1, 1), plan.back_pad), fresh=True)
             else:
                 _accum(x, plan.strided_input_grad(weight.data, g_cols), fresh=True)
 
@@ -700,11 +750,21 @@ def _upsample_axis_matrix(n_in: int, factor: int, dtype) -> np.ndarray:
 
 
 def _apply_axis_matrix(a: np.ndarray, m: np.ndarray, axis: int) -> np.ndarray:
-    return np.moveaxis(np.tensordot(a, m, axes=([axis], [1])), -1, axis)
+    """``m`` [n_out, n_in] applied along ``axis`` of a 5-d array: one matmul
+    on a reshape, batched over the axes before ``axis``; a C-contiguous
+    result."""
+    shape = a.shape
+    if axis == 4:
+        out = a.reshape(-1, shape[4]) @ m.T
+    else:
+        out = m @ a.reshape(-1, shape[axis], math.prod(shape[axis + 1 :]))
+    return out.reshape(shape[:axis] + (m.shape[0],) + shape[axis + 1 :])
 
 
 def upsample_trilinear(x: Tensor, factors: tuple[int, int, int]) -> Tensor:
-    """Upsample [N,C,D,H,W] spatial extents by integer factors, trilinearly."""
+    """Upsample [N,C,D,H,W] spatial extents by integer factors, trilinearly:
+    the cached interpolation matrix of each upsampled axis, applied in depth,
+    height, width order; backward applies their transposes the same way."""
     if x.ndim != 5:
         raise ShapeError(f"upsample_trilinear: need 5-d input, got {x.shape}")
     if min(factors) < 1:

@@ -10,6 +10,7 @@ import numpy as np
 from scipy import ndimage
 
 from hemoseg.autodiff import Tensor
+from hemoseg.volumes import _linear_axis_matrix
 
 
 def conv3d_loops(x, w, b, stride=(1, 1, 1), padding=(0, 0, 0)):
@@ -154,6 +155,61 @@ def upsample_trilinear_loops(x, factors):
                 )
                 out[:, :, zi, yi, xi] = acc
     return out
+
+
+def upsample_trilinear_tensordot(x, factors, adjoint=False):
+    """Trilinear upsampling as ``volumes._linear_axis_matrix`` per upsampled
+    axis, in x's dtype, applied with ``tensordot`` and ``moveaxis`` in depth,
+    height, width order.  With ``adjoint`` x is a gradient on the upsampled
+    grid and the transposed matrices map it back (``factors`` as in the
+    forward)."""
+    out = x
+    for i, f in enumerate(factors):
+        if f == 1:
+            continue
+        axis = 2 + i
+        n_in = out.shape[axis] // f if adjoint else out.shape[axis]
+        m = _linear_axis_matrix(n_in, n_in * f).astype(x.dtype)
+        out = np.moveaxis(np.tensordot(out, m.T if adjoint else m, axes=([axis], [1])), -1, axis)
+    return np.ascontiguousarray(out)
+
+
+def conv_forward_per_tap(plan, x, w, b=None):
+    """A conv plan's forward with one matmul per lead tap and column block of
+    ``plan`` and an accumulate pass for every tap after the first, as an
+    [N,K,do,ho,wo] array."""
+    cols = plan.gather(x)
+    acc = np.empty((plan.k, plan.cols), dtype=np.result_type(x, w))
+    for s, e in plan.blocks:
+        for t, (off, wm) in enumerate(zip(plan.offsets, plan.weights(w))):
+            prod = np.matmul(wm, cols[:, off + s : off + e])
+            if t == 0:
+                acc[:, s:e] = prod
+            else:
+                acc[:, s:e] += prod
+    corner = acc.reshape((plan.k, plan.n) + plan.grid)[(slice(None), slice(None)) + tuple(slice(o) for o in plan.out)]
+    out = np.ascontiguousarray(corner.transpose(1, 0, 2, 3, 4))
+    return out if b is None else out + b.reshape(1, -1, 1, 1, 1)
+
+
+def conv_weight_grad_per_tap(plan, x, g_cols):
+    """A conv plan's weight gradient with one ``cols @ g.T`` matmul per lead
+    tap and column block of ``plan``, the blocks' parts summed in order."""
+    cols = plan.gather(x)
+    parts = np.empty((len(plan.blocks), len(plan.offsets), cols.shape[0], plan.k), dtype=g_cols.dtype)
+    for part, (s, e) in zip(parts, plan.blocks):
+        for t, off in enumerate(plan.offsets):
+            np.matmul(cols[:, off + s : off + e], g_cols[:, s:e].T, out=part[t])
+    shape = tuple(plan.wshape[a] for a in plan.w_axes)
+    return parts.sum(axis=0).transpose(0, 2, 1).reshape(shape).transpose(np.argsort(plan.w_axes))
+
+
+def zscore_normalize_two_pass(patch):
+    """Zero-mean unit-std float32 patch from ``np.std`` and a second mean,
+    the std floored at 1e-8."""
+    patch = np.asarray(patch, dtype=np.float64)
+    std = max(float(patch.std()), 1e-8)
+    return ((patch - patch.mean()) / std).astype(np.float32)
 
 
 def batch_norm_eval(x, gamma, beta, running_mean, running_var, epsilon=1e-5):

@@ -26,6 +26,7 @@ from hemoseg.autodiff import (
 )
 from hemoseg.losses import deep_supervision_loss
 from hemoseg.model import build_unet, toy_config
+from test_acceptance import _toy_cascade_conv_calls
 
 
 class TestTensorBasics:
@@ -359,6 +360,84 @@ class TestScratchArena:
         assert getattr(ad._arena, "buffers", None) is None
 
 
+def _conv_cases(calls, seed):
+    rng = np.random.default_rng(seed)
+    return [
+        tuple(rng.standard_normal(shape).astype(np.float32) for shape in (xs, ws, ws[:1])) + (stride, padding)
+        for xs, ws, stride, padding in calls
+    ]
+
+
+def _conv_results(cases):
+    """Output and input, weight and bias gradients of conv3d on each case,
+    against a fixed output gradient per case."""
+    results = []
+    for i, (x, w, b, stride, padding) in enumerate(cases):
+        xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+        out = conv3d(xt, wt, bt, stride, padding)
+        g = np.random.default_rng(i).standard_normal(out.shape).astype(np.float32)
+        (out * Tensor(g)).sum().backward()
+        results.append((out.data, g, xt.grad, wt.grad, bt.grad))
+    return results
+
+
+class TestBatchedLeadTaps:
+    # A conv whose grid fits one column block runs its lead taps as one
+    # batched matmul over strided views (the forward) and every conv batches
+    # them per block in the weight gradient; both must equal the per-tap
+    # loop over the same blocks bit for bit, on every toy-cascade conv shape
+    # (both stages, batch 1 and 2, stride 1, strided and pointwise).
+
+    def test_batched_lead_taps_equal_the_per_tap_loop(self, monkeypatch):
+        calls = _toy_cascade_conv_calls(monkeypatch)
+        ad._conv_plan.cache_clear()
+        try:
+            results = _conv_results(_conv_cases(calls, 43))
+            batched = 0
+            for (xs, ws, stride, padding), (x, w, b, _, _), (out, g, gx, gw, gb) in zip(
+                calls, _conv_cases(calls, 43), results
+            ):
+                np.testing.assert_array_equal(gb, g.sum(axis=(0, 2, 3, 4)))
+                if ws[2:] == (1, 1, 1):
+                    continue
+                plan = ad._conv_plan(xs, ws, stride, padding, x.itemsize)
+                batched += len(plan.blocks) == 1 and len(plan.offsets) > 1
+                np.testing.assert_array_equal(out, oracles.conv_forward_per_tap(plan, x, w, b))
+                np.testing.assert_array_equal(gw, oracles.conv_weight_grad_per_tap(plan, x, plan.on_grid(g)))
+                if plan.stride1:
+                    flipped = w[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
+                    back = ad._conv_plan(g.shape, flipped.shape, stride, plan.back_pad, g.itemsize)
+                    np.testing.assert_array_equal(gx, oracles.conv_forward_per_tap(back, g, flipped))
+            assert batched  # some forward takes the batched path
+        finally:
+            ad._conv_plan.cache_clear()
+
+    def test_tiny_blocks_loop_over_taps_on_every_shape(self, monkeypatch):
+        # With a tiny block budget every stride-1 plan is multi-block and
+        # loops over its taps.  Other column blocks change the BLAS's column
+        # tiling and the order in which the weight gradient's block parts
+        # add up, so the results agree to float32 rounding, not bit for bit.
+        calls = _toy_cascade_conv_calls(monkeypatch)
+        ad._conv_plan.cache_clear()
+        try:
+            default = _conv_results(_conv_cases(calls, 47))
+            monkeypatch.setattr(ad, "_BLOCK_BYTES", 1)
+            monkeypatch.setattr(ad, "_MIN_BLOCK_COLS", 32)
+            ad._conv_plan.cache_clear()
+            for xs, ws, stride, padding in calls:
+                if ws[2:] != (1, 1, 1) and stride == (1, 1, 1):
+                    assert len(ad._conv_plan(xs, ws, stride, padding, 4).blocks) > 1
+            looped = _conv_results(_conv_cases(calls, 47))
+        finally:
+            monkeypatch.undo()
+            ad._conv_plan.cache_clear()
+        for call, want, got in zip(calls, default, looped):
+            names = ("output", "input gradient", "weight gradient", "bias gradient")
+            for name, a, b in zip(names, want[:1] + want[2:], got[:1] + got[2:]):
+                err = np.abs(a - b).max() / np.abs(a).max()
+                assert err <= 1e-5, f"{name} differs by {err:g} of its largest value on {call}"
+
+
 class TestConvStridedDown:
     def test_extents_divide_exactly(self):
         x = Tensor(np.zeros((1, 2, 8, 16, 16)))
@@ -406,6 +485,23 @@ class TestUpsampleTrilinear:
             got = upsample_trilinear(Tensor(x), factors)
             want = oracles.upsample_trilinear_loops(x, factors)
             np.testing.assert_allclose(got.data, want, rtol=1e-5, atol=1e-6)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_tensordot_reference_on_toy_cascade_shapes(self, dtype):
+        # the decoder's upsampling inputs of both toy stages, batch 1 and 2:
+        # forward and adjoint equal the tensordot/moveaxis formulation
+        rng = np.random.default_rng(41)
+        shapes = [((8, 8, 16, 16), (1, 2, 2)), ((16, 4, 8, 8), (2, 2, 2)), ((32, 2, 4, 4), (2, 2, 2)),
+                  ((8, 16, 16, 16), (1, 2, 2)), ((16, 8, 8, 8), (2, 2, 2)), ((32, 4, 4, 4), (2, 2, 2))]
+        for n in (1, 2):
+            for shape, factors in shapes:
+                x = Tensor(rng.standard_normal((n,) + shape).astype(dtype), requires_grad=True)
+                out = upsample_trilinear(x, factors)
+                np.testing.assert_array_equal(out.data, oracles.upsample_trilinear_tensordot(x.data, factors))
+                assert out.data.flags.c_contiguous
+                g = rng.standard_normal(out.shape).astype(dtype)
+                (out * Tensor(g)).sum().backward()
+                np.testing.assert_array_equal(x.grad, oracles.upsample_trilinear_tensordot(g, factors, adjoint=True))
 
     def test_factor_one_is_identity(self, rng):
         x = rng.normal(size=(1, 1, 2, 3, 3))

@@ -245,6 +245,20 @@ class TestZscore:
         assert abs(out.mean()) < 1e-5
         assert abs(out.std() - 1.0) < 1e-5
 
+    def test_equals_the_two_pass_form(self, rng):
+        # one centring pass, bit for bit the np.std-then-mean expression, on
+        # constant, partly zero, tiny- and large-scale patches
+        for i in range(400):
+            shape = tuple(int(v) for v in rng.integers(1, 10, size=3))
+            patch = rng.standard_normal(shape) * (1e-3, 1.0, 1e3, 1.0)[i % 4] + rng.normal(0.0, 10.0)
+            if i % 5 == 0:
+                patch[:] = rng.normal()
+            if i % 5 == 1:
+                patch[rng.random(shape) < 0.5] = 0.0
+            if i % 2:
+                patch = patch.astype(np.float32)
+            np.testing.assert_array_equal(zscore_normalize(patch), oracles.zscore_normalize_two_pass(patch))
+
     def test_affine_invariance(self, rng):
         x = rng.normal(size=(3, 5, 5))
         np.testing.assert_allclose(zscore_normalize(3.5 * x + 2.0), zscore_normalize(x), atol=1e-5)
