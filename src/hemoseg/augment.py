@@ -11,13 +11,21 @@ patch equals, to rounding, the crop of the whole volume rotated, flipped
 and smoothed in that order.  Intensity steps touch the image only.  Z-score normalization is a
 separate step applied to the cropped patch.
 
-Only training augments, so ``scipy.ndimage`` and ``scipy.special`` are
-imported at the first rotation or smoothing, not with this module: the
-inference, evaluation and volumetry paths load no scipy.
+The module runs on numpy alone.  Three private ports do the arithmetic of
+the scipy routines the augmentation was first written with, operation for
+operation and in the same order, so IEEE rounding gives scipy's bits (the
+tests pin each one to scipy): ``_degree_trig`` is Cephes' ``cosdg`` and
+``sindg``, which ``scipy.special`` wraps and ``ndimage.rotate`` calls;
+``_sample_planes`` is ``ndimage.map_coordinates`` with ``mode="constant"``
+(linear for the image, nearest for the mask) on a grid whose z coordinates
+are whole planes; ``_smooth_in_plane`` is ``ndimage.gaussian_filter`` with
+sigma ``(0, s, s)`` and its default ``reflect`` boundary.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -118,17 +126,98 @@ def random_crop(image, mask, crop_shape, rng, fg_bias_prob=0.5):
     return np.ascontiguousarray(image[sl]), np.ascontiguousarray(mask[sl])
 
 
+# Cephes sindg.c's coefficients: on one 45-degree octant, in radians z,
+# sin z = z + z^3 P(z^2) and cos z = 1 - z^2 Q(z^2)
+_SINCOF = (1.58962301572218447952e-10, -2.50507477628503540135e-8, 2.75573136213856773549e-6,
+           -1.98412698295895384658e-4, 8.33333333332211858862e-3, -1.66666666666666307295e-1)
+_COSCOF = (1.13678171382044553091e-11, -2.08758833757683644217e-9, 2.75573155429816611547e-7,
+           -2.48015872936186303776e-5, 1.38888888888806666760e-3, -4.16666666666666348141e-2,
+           4.99999999999999999798e-1)
+_PI180 = 1.74532925199432957692e-2  # pi / 180
+
+
+def _polevl(x, coefs):
+    """Cephes ``polevl``: the polynomial with coefficients highest power first, by Horner's rule."""
+    ans = coefs[0]
+    for c in coefs[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _degree_trig(x: float, cosine: bool) -> float:
+    """Cephes ``cosdg`` (cosine) or ``sindg`` of x degrees, step for step.
+    The argument is reduced by whole multiples of 45 degrees before it is
+    turned into radians, so multiples of 90 give exact 0 and +-1.
+    ``np.cos(np.deg2rad(x))`` differs from it by an ulp on some angles."""
+    sign = 1.0
+    if x < 0:
+        x, sign = -x, (1.0 if cosine else -1.0)
+    y = float(math.floor(x / 45.0))
+    z = y - math.ldexp(math.floor(math.ldexp(y, -4)), 4)  # y mod 16
+    j = int(z)
+    if j & 1:  # map zeros to the origin
+        j, y = j + 1, y + 1.0
+    j &= 7
+    if j > 3:
+        sign, j = -sign, j - 4
+    if cosine and j > 1:
+        sign = -sign
+    z = (x - y * 45.0) * _PI180
+    zz = z * z
+    if (j in (1, 2)) != cosine:
+        y = 1.0 - zz * _polevl(zz, _COSCOF)
+    else:
+        y = z + z * (zz * _polevl(zz, _SINCOF))
+    return -y if sign < 0 else y
+
+
+def _axis_taps(c, n):
+    """Coordinates c on an axis of extent n as scipy's ``mode="constant"``
+    reads them: whether each lies in [0, n-1] (the fill value anywhere else,
+    however close), its two linear taps (index, weight), and its nearest
+    index, floor(c + 0.5).  The weights are 1 - t and 1 - (1 - t), not t:
+    scipy takes the last weight as 1 minus the others.  Indices are clamped
+    into the axis, so points outside read some voxel, later overwritten."""
+    c0 = np.floor(c)
+    i0 = np.clip(c0, 0, n - 1).astype(np.intp)
+    w0 = 1.0 - (c - c0)
+    taps = ((i0, w0), (np.minimum(i0 + 1, n - 1), 1.0 - w0))
+    return (c >= 0) & (c <= n - 1), taps, np.clip(np.floor(c + 0.5), 0, n - 1).astype(np.intp)
+
+
+def _sample_planes(image, mask, y, x):
+    """``ndimage.map_coordinates`` at (z, y, x) for every plane z of image
+    and mask and every in-plane point (y, x), ``mode="constant"``: the
+    image linear into float64 (``PAD_VALUE`` outside), the mask nearest in
+    its dtype (0 outside).  The linear value sums ``v * wy * wx`` over the
+    corners (y0, x0), (y0, x1), (y1, x0), (y1, x1) in that order, from 0,
+    as scipy's spline loop does; a whole-plane z has weights (1, 0), which
+    change no bit of it."""
+    planes, ny, nx = image.shape
+    inside_y, taps_y, near_y = _axis_taps(y, ny)
+    inside_x, taps_x, near_x = _axis_taps(x, nx)
+    img = np.zeros((planes,) + y.shape)
+    flat = image.reshape(planes, ny * nx)
+    for (iy, wy), (ix, wx) in product(taps_y, taps_x):
+        img += np.take(flat, iy * nx + ix, axis=1) * wy * wx  # float32 values widen exactly
+    msk = np.take(mask.reshape(planes, ny * nx), near_y * nx + near_x, axis=1)
+    outside = ~(inside_y & inside_x)
+    if outside.any():
+        img[:, outside] = PAD_VALUE
+        msk[:, outside] = 0
+    return img, msk
+
+
 class _Geometry:
     """The rotation and flips of one sample, as ``ndimage.rotate(vol, angle,
     axes=(1, 2), reshape=False)`` followed by row and column flips: the
-    rotation turns each axial plane about its centre."""
+    rotation turns each axial plane about its centre.  Its matrix is
+    ``ndimage.rotate``'s, from the same degree trig (``_degree_trig``)."""
 
     def __init__(self, shape, angle, flips):
         self.shape, self.angle, self.flips = tuple(shape), angle, flips
         if angle is not None:
-            from scipy import special
-
-            c, s = special.cosdg(angle), special.sindg(angle)
+            c, s = _degree_trig(angle, cosine=True), _degree_trig(angle, cosine=False)
             self.rot = np.array([[c, s], [-s, c]])
             centre = (np.asarray(self.shape[1:]) - 1) / 2.0
             self.offset = centre - self.rot @ centre  # ndimage.rotate's, so the grids agree to rounding
@@ -151,17 +240,40 @@ class _Geometry:
         if self.angle is None:
             grid = np.ix_(zs, ys, xs)
             return image[grid].astype(np.float64, copy=False), mask[grid]
-        from scipy import ndimage
-
         y, x = ys[:, None].astype(np.float64), xs[None, :].astype(np.float64)
-        coords = np.empty((3, len(zs), len(ys), len(xs)))
-        coords[0] = zs[:, None, None]
-        coords[1] = y * self.rot[0, 0] + x * self.rot[0, 1] + self.offset[0]
-        coords[2] = y * self.rot[1, 0] + x * self.rot[1, 1] + self.offset[1]
-        return (
-            ndimage.map_coordinates(image, coords, np.float64, order=1, mode="constant", cval=PAD_VALUE),
-            ndimage.map_coordinates(mask, coords, order=0, mode="constant", cval=0),
+        planes = slice(*region[0])
+        return _sample_planes(
+            image[planes],
+            mask[planes],
+            y * self.rot[0, 0] + x * self.rot[0, 1] + self.offset[0],
+            y * self.rot[1, 0] + x * self.rot[1, 1] + self.offset[1],
         )
+
+
+def _smoothing_radius(sigma: float) -> int:
+    """Half-width of the Gaussian kernel: scipy's default truncation at 4 sigma."""
+    return int(4.0 * sigma + 0.5)
+
+
+def _smooth_in_plane(img, sigma: float):
+    """``ndimage.gaussian_filter(img, (0, sigma, sigma))`` of a float64 volume:
+    a 1-D Gaussian along rows, then columns, each padded by reflection
+    (``reflect`` in scipy, ``symmetric`` in ``np.pad``) and summed as
+    scipy's ``correlate1d`` sums a symmetric kernel: the centre tap, then
+    the mirrored pairs from the outermost in.  A sigma at or below 1e-15
+    leaves the axis alone, as scipy does."""
+    if sigma <= 1e-15:
+        return img
+    r = _smoothing_radius(sigma)
+    w = np.exp(-0.5 / (sigma * sigma) * np.arange(-r, r + 1) ** 2)
+    w = w / w.sum()
+    for axis in (1, 2):
+        padded = np.pad(img, [(0, 0)] * axis + [(r, r)] + [(0, 0)] * (2 - axis), mode="symmetric")
+        taps = [padded[(slice(None),) * axis + (slice(k, k + img.shape[axis]),)] for k in range(2 * r + 1)]
+        img = taps[r] * w[r]
+        for j in range(r, 0, -1):
+            img += (taps[r - j] + taps[r + j]) * w[r - j]
+    return img
 
 
 def _patch(image, mask, geometry, origin, crop_shape, smooth_sigma=None, noise=None):
@@ -172,15 +284,13 @@ def _patch(image, mask, geometry, origin, crop_shape, smooth_sigma=None, noise=N
     are computed; voxels of the padding are ``PAD_VALUE`` and 0."""
     crop = [(o - p, o - p + c) for o, p, c in zip(origin, _lead(image.shape, crop_shape), crop_shape)]
     inside = [(max(lo, 0), min(hi, n)) for (lo, hi), n in zip(crop, image.shape)]
-    halo = (0,) + (int(4.0 * smooth_sigma + 0.5),) * 2 if smooth_sigma is not None else (0, 0, 0)
+    halo = (0,) + (_smoothing_radius(smooth_sigma),) * 2 if smooth_sigma is not None else (0, 0, 0)
     region = [(max(lo - h, 0), min(hi + h, n)) for (lo, hi), h, n in zip(inside, halo, image.shape)]
     img, msk = geometry.sample(image, mask, region)
     if noise is not None:
         img = img + noise(img.shape)
     if smooth_sigma is not None:
-        from scipy import ndimage
-
-        img = ndimage.gaussian_filter(img, sigma=(0.0, smooth_sigma, smooth_sigma))
+        img = _smooth_in_plane(img, smooth_sigma)
     out_img = np.full(crop_shape, PAD_VALUE, dtype=img.dtype)
     out_msk = np.zeros(crop_shape, dtype=msk.dtype)
     dst = tuple(slice(lo - c0, hi - c0) for (lo, hi), (c0, _) in zip(inside, crop))

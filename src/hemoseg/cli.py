@@ -11,7 +11,8 @@ phantom placement).
 Each command returns what it made, and ``main`` writes the run manifest
 JSON next to its outputs: the arguments ``main`` received (``argv``), the
 settings given (``--config`` file plus ``--set``, not the resolved
-configuration), seed, input/output paths, tool version, and wall time.
+configuration), seed, input/output paths, tool version, wall time and
+peak resident memory.
 Every file but the appended ``train --log`` is written through
 ``volumes.write_file_atomic``, so a failed write leaves the previous file
 intact.
@@ -88,6 +89,11 @@ def _write_file(path, text: str) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     return write_file_atomic(path, [text.encode()])
+
+
+def _peak_rss_mb() -> float:
+    """The process's peak resident memory so far, in MB (``ru_maxrss`` is KiB on Linux)."""
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 3)
 
 
 def _manifest_beside(out: Path) -> Path:
@@ -187,7 +193,7 @@ def cmd_infer(args) -> Made:
         "input": str(args.input),
         **info,
         "seconds": round(seconds, 6),
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 3),  # ru_maxrss is KiB on Linux
+        "peak_rss_mb": _peak_rss_mb(),
         "volume_ml": voxel_volume_ml(mask),
         "foreground_voxels": int(mask.voxels.sum()),
     }
@@ -387,6 +393,7 @@ def main(argv=None) -> int:
                 "outputs": [str(p) for p in made.outputs],
                 "tool_version": __version__,
                 "wall_seconds": round(time.perf_counter() - started, 6),
+                "peak_rss_mb": _peak_rss_mb(),
             }
             _write_file(made.manifest, _json(manifest))
     except (UsageError, ConfigFileError, ConfigError, DatasetError, OSError) as exc:

@@ -155,6 +155,14 @@ class TestInfer:
         assert sidecar["peak_rss_mb"] > 0
         assert (tmp_path / "pred" / "case_0000_msk_manifest.json").exists()
 
+    def test_train_and_infer_manifests_record_peak_memory(self, tmp_path, phantom_dir, cascade_ckpts):
+        out = tmp_path / "case_0000_msk.rvol"
+        assert main(["infer", "--model", ",".join(map(str, cascade_ckpts)),
+                     "--input", str(phantom_dir / "case_0000_img.rvol"), "--output", str(out)]) == EXIT_OK
+        for manifest in (cascade_ckpts[0].with_name("run_manifest.json"), tmp_path / "case_0000_msk_manifest.json"):
+            peak = json.loads(manifest.read_text())["peak_rss_mb"]
+            assert isinstance(peak, float) and peak > 0, manifest
+
     def test_single_stage_mode(self, tmp_path, phantom_dir, cascade_ckpts):
         out = tmp_path / "case_0000_msk.rvol"
         rc = main(["infer", "--model", str(cascade_ckpts[0]),
@@ -443,15 +451,22 @@ loaded = [m for m in ("scipy.ndimage", "scipy.spatial", "scipy.linalg", "scipy.s
 assert not loaded, loaded
 """, tmp_path / "data", tmp_path / "pred", tmp_path / "report.json", *cascade_ckpts)
 
-    def test_augmentation_loads_ndimage_at_first_use(self):
+    def test_training_loads_no_scipy(self, tmp_path):
         _run_fresh("""
 import sys
 import numpy as np
 from hemoseg.augment import AugmentPolicy, augment
-assert "scipy.ndimage" not in sys.modules
-augment(np.zeros((8, 32, 32), np.float32), np.zeros((8, 32, 32), np.uint8), np.random.default_rng(0), AugmentPolicy())
-assert "scipy.ndimage" in sys.modules
-""")
+from hemoseg.cli import main
+data, ckpt = sys.argv[1:]
+assert main(["gen-phantoms", "--out", data, "--count", "2", "--seed", "4"]) == 0
+assert main(["train", "--data", data, "--out", ckpt, "--stage", "cascade", "--seed", "3",
+             "--set", "train.epochs=2", "--set", "train.steps_per_epoch=2"]) == 0
+policy = AugmentPolicy(rotate_prob=1.0, flip_prob=1.0, noise_prob=1.0, smooth_prob=1.0, crop_shape=(12, 40, 40))
+augment(np.random.default_rng(0).random((8, 32, 32), np.float32), np.ones((8, 32, 32), np.uint8),
+        np.random.default_rng(1), policy)
+loaded = [m for m in ("scipy.ndimage", "scipy.special", "scipy.linalg", "scipy.spatial") if m in sys.modules]
+assert not loaded, loaded
+""", tmp_path / "data", tmp_path / "ckpt.hsck")
 
 
 # compare-tada inputs: directory name -> (file written beside a copy of the

@@ -1,6 +1,7 @@
 """Volume I/O, phantom generation, windowing, and augmentation."""
 import numpy as np
 import pytest
+from scipy import ndimage, special
 
 import oracles
 from hemoseg import augment as augment_module
@@ -382,3 +383,82 @@ class TestAugment:
         for seed in range(20):
             _, out_msk = augment(img, msk, np.random.default_rng(seed), policy)
             assert out_msk.sum() > 0
+
+
+def assert_bitwise(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestScipyPorts:
+    """The augmentation's numpy ports of scipy routines give scipy's bits."""
+
+    def test_degree_trig_equals_scipy_special(self, rng):
+        angles = np.concatenate([
+            rng.uniform(-30.0, 30.0, 125_000),
+            rng.uniform(-720.0, 720.0, 125_000),
+            np.arange(-720, 721) * 0.5,
+        ])
+        for fn, cosine in ((special.cosdg, True), (special.sindg, False)):
+            want = fn(angles)
+            got = np.array([augment_module._degree_trig(float(a), cosine) for a in angles])
+            assert_bitwise(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sampling_equals_map_coordinates(self, rng, dtype):
+        image = rng.normal(size=(3, 9, 11)).astype(dtype)
+        image[0, :2, :2] = -0.0
+        mask = rng.integers(0, 4, size=image.shape).astype(np.uint8)
+
+        def coordinates(n, size):
+            ties = np.arange(-1, n + 1) + 0.5
+            exact = np.array([0.0, n - 1.0, -1e-12, 1e-12, n - 1 - 1e-12, n - 1 + 1e-12])
+            pools = (rng.uniform(-1.5, n + 0.5, size), rng.integers(-1, n + 1, size).astype(np.float64),
+                     rng.choice(ties, size), rng.choice(exact, size))
+            return np.choose(rng.integers(0, len(pools), size), pools)
+
+        y, x = coordinates(9, (100, 200)), coordinates(11, (100, 200))
+        y[0, :4], x[0, :4] = (0.0, 8.0, 0.0, 8.0), (0.0, 0.0, 10.0, 10.0)  # the four corners
+        got_img, got_msk = augment_module._sample_planes(image, mask, y, x)
+        coords = np.stack(np.broadcast_arrays(np.arange(3.0)[:, None, None], y, x))
+        want_img = ndimage.map_coordinates(image, coords, np.float64, order=1, mode="constant",
+                                           cval=augment_module.PAD_VALUE)
+        want_msk = ndimage.map_coordinates(mask, coords, order=0, mode="constant", cval=0)
+        assert_bitwise(got_img, want_img)
+        assert_bitwise(got_msk, want_msk)
+        assert (want_img == 0).mean() < 0.5 and want_msk.any()
+
+    def test_smoothing_equals_gaussian_filter(self, rng):
+        narrower = 0
+        for _ in range(300):
+            shape = (int(rng.integers(1, 4)), int(rng.integers(1, 24)), int(rng.integers(1, 24)))
+            sigma = float(rng.uniform(0.05, 2.5))
+            img = rng.normal(size=shape)
+            want = ndimage.gaussian_filter(img, sigma=(0.0, sigma, sigma))
+            assert_bitwise(augment_module._smooth_in_plane(img, sigma), want)
+            narrower += min(shape[1:]) < augment_module._smoothing_radius(sigma)
+        assert narrower > 20
+
+    def test_smoothing_skips_a_vanishing_sigma(self, rng):
+        img = rng.normal(size=(2, 5, 6))
+        for sigma in (1e-15, 1e-300, 0.0):
+            got = augment_module._smooth_in_plane(img, sigma)
+            assert_bitwise(got, ndimage.gaussian_filter(img, sigma=(0.0, sigma, sigma)))
+            assert np.isfinite(got).all()
+
+    @pytest.mark.parametrize("angle", [None, 17.3])
+    def test_patch_of_a_region_narrower_than_the_smoothing_radius(self, rng, angle):
+        # a 3x3 plane is narrower than the radius 4 of sigma 1, so the
+        # smoothing reflects more than once; the patch pads it to the crop
+        img = rng.uniform(0.0, 1.0, size=(2, 3, 3)).astype(np.float32)
+        msk = (img > 0.5).astype(np.uint8)
+        crop = (2, 8, 8)
+        for flips in ((False, False), (True, True)):
+            geometry = augment_module._Geometry(img.shape, angle, flips)
+            got_img, got_msk = augment_module._patch(img, msk, geometry, [0, 0, 0], crop, 1.0)
+            want_img, want_msk = oracles.augment_whole_volume_then_crop(img, msk, angle, flips, 1.0, [0, 0, 0], crop)
+            if angle is None:
+                assert_bitwise(got_img, want_img)
+            else:  # ndimage.rotate builds its grid in another order
+                np.testing.assert_allclose(got_img, want_img, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(got_msk, want_msk)
