@@ -34,6 +34,9 @@ from .volumes import VolumeImage
 HU_WINDOW_WIDTH = 90.0  # the brain window every stage sees: [-5, 85] HU
 HU_WINDOW_LEVEL = 40.0
 PAD_VALUE = 0.0  # windowed value of air, used when padding to a crop shape
+ROTATE_DEGREES = 30.0  # the axial angle is uniform in [-30, 30] degrees
+NOISE_SIGMA_RANGE = (0.0, 0.1)  # additive Gaussian noise on the [0, 1] windowed scale
+SMOOTH_SIGMA_RANGE = (0.5, 1.0)  # in-plane Gaussian smoothing, in voxels
 
 
 def hu_window(image: VolumeImage) -> VolumeImage:
@@ -56,12 +59,9 @@ def zscore_normalize(patch: np.ndarray) -> np.ndarray:
 @dataclass
 class AugmentPolicy:
     rotate_prob: float = 1.0
-    rotate_degrees: float = 30.0
     flip_prob: float = 0.5
     noise_prob: float = 0.5
-    noise_sigma_range: tuple[float, float] = (0.0, 0.1)
     smooth_prob: float = 0.5
-    smooth_sigma_range: tuple[float, float] = (0.5, 1.0)
     crop_shape: tuple[int, int, int] = (8, 32, 32)
     fg_bias_prob: float = 0.5
 
@@ -86,44 +86,31 @@ class AugmentPolicy:
         )
 
 
+def lead_padding(shape, target) -> list[int]:
+    """Per-axis leading padding that brings ``shape`` up to ``target``: half the shortfall, rounded down."""
+    return [max(0, t - n) // 2 for n, t in zip(shape, target)]
+
+
 def pad_to_shape(vol: np.ndarray, shape, pad_value: float):
-    """Pad symmetrically (extra voxel trailing) so every extent reaches shape."""
-    pads = []
-    for have, want in zip(vol.shape, shape):
-        extra = max(0, want - have)
-        pads.append((extra // 2, extra - extra // 2))
+    """Pad symmetrically (``lead_padding`` before) so every extent reaches shape."""
+    leads = lead_padding(vol.shape, shape)
+    pads = [(lead, max(0, want - have) - lead) for have, want, lead in zip(vol.shape, shape, leads)]
     if any(p != (0, 0) for p in pads):
         vol = np.pad(vol, pads, constant_values=pad_value)
     return vol
 
 
-def _lead(shape, crop_shape) -> list[int]:
-    """The leading padding per axis that ``pad_to_shape`` adds to reach crop_shape."""
-    return [max(0, c - n) // 2 for n, c in zip(shape, crop_shape)]
-
-
-def _crop_origin(mask, crop_shape, rng, fg_bias_prob, place=None):
+def _crop_origin(mask, crop_shape, rng, fg_bias_prob, place):
     """Origin of a crop of the mask padded to at least ``crop_shape``:
-    centred on a random foreground voxel with probability ``fg_bias_prob``,
-    uniform otherwise.  ``place`` moves the chosen voxel first (default: it
-    stays where it is)."""
+    centred on a random foreground voxel, moved by ``place``, with
+    probability ``fg_bias_prob``; uniform otherwise."""
     padded = [max(n, c) for n, c in zip(mask.shape, crop_shape)]
     fg = np.flatnonzero(mask > 0)
     if len(fg) > 0 and rng.random() < fg_bias_prob:
-        centre = np.unravel_index(fg[rng.integers(len(fg))], mask.shape)
-        centre = place(centre) if place is not None else centre
-        lead = _lead(mask.shape, crop_shape)
+        centre = place(np.unravel_index(fg[rng.integers(len(fg))], mask.shape))
+        lead = lead_padding(mask.shape, crop_shape)
         return [int(np.clip(int(i) + p - c // 2, 0, n - c)) for i, p, c, n in zip(centre, lead, crop_shape, padded)]
     return [int(rng.integers(n - c + 1)) for n, c in zip(padded, crop_shape)]
-
-
-def random_crop(image, mask, crop_shape, rng, fg_bias_prob=0.5):
-    """Cut an aligned patch pair, optionally centered on a foreground voxel."""
-    origin = _crop_origin(np.asarray(mask), crop_shape, rng, fg_bias_prob)
-    image = pad_to_shape(np.asarray(image), crop_shape, PAD_VALUE)
-    mask = pad_to_shape(np.asarray(mask), crop_shape, 0)
-    sl = tuple(slice(o, o + c) for o, c in zip(origin, crop_shape))
-    return np.ascontiguousarray(image[sl]), np.ascontiguousarray(mask[sl])
 
 
 # Cephes sindg.c's coefficients: on one 45-degree octant, in radians z,
@@ -212,15 +199,16 @@ class _Geometry:
     """The rotation and flips of one sample, as ``ndimage.rotate(vol, angle,
     axes=(1, 2), reshape=False)`` followed by row and column flips: the
     rotation turns each axial plane about its centre.  Its matrix is
-    ``ndimage.rotate``'s, from the same degree trig (``_degree_trig``)."""
+    ``ndimage.rotate``'s, from the same degree trig (``_degree_trig``).
+    An angle of 0 gives exact cos 1 and sin 0, a zero offset and linear
+    weights (1, 0), so the sample is the unrotated volume bit for bit."""
 
-    def __init__(self, shape, angle, flips):
-        self.shape, self.angle, self.flips = tuple(shape), angle, flips
-        if angle is not None:
-            c, s = _degree_trig(angle, cosine=True), _degree_trig(angle, cosine=False)
-            self.rot = np.array([[c, s], [-s, c]])
-            centre = (np.asarray(self.shape[1:]) - 1) / 2.0
-            self.offset = centre - self.rot @ centre  # ndimage.rotate's, so the grids agree to rounding
+    def __init__(self, shape, angle: float, flips):
+        self.shape, self.flips = tuple(shape), flips
+        c, s = _degree_trig(angle, cosine=True), _degree_trig(angle, cosine=False)
+        self.rot = np.array([[c, s], [-s, c]])
+        centre = (np.asarray(self.shape[1:]) - 1) / 2.0
+        self.offset = centre - self.rot @ centre  # ndimage.rotate's, so the grids agree to rounding
 
     def _unflip(self, ax, i):
         """Row (ax 1) or column (ax 2) index i across that axis's flip, either way."""
@@ -229,17 +217,13 @@ class _Geometry:
     def place(self, voxel):
         """Where input voxel (z, y, x) lands in the augmented volume, rounded."""
         z, y, x = voxel
-        if self.angle is not None:
-            y, x = self.rot.T @ (np.array([y, x], dtype=np.float64) - self.offset)
+        y, x = self.rot.T @ (np.array([y, x], dtype=np.float64) - self.offset)
         return z, int(np.rint(self._unflip(1, y))), int(np.rint(self._unflip(2, x)))
 
     def sample(self, image, mask, region):
         """The augmented volume's [lo, hi) ``region`` per axis, of image (float64) and mask."""
         zs, ys, xs = (np.arange(lo, hi) for lo, hi in region)
         ys, xs = self._unflip(1, ys), self._unflip(2, xs)
-        if self.angle is None:
-            grid = np.ix_(zs, ys, xs)
-            return image[grid].astype(np.float64, copy=False), mask[grid]
         y, x = ys[:, None].astype(np.float64), xs[None, :].astype(np.float64)
         planes = slice(*region[0])
         return _sample_planes(
@@ -282,7 +266,7 @@ def _patch(image, mask, geometry, origin, crop_shape, smooth_sigma=None, noise=N
     noised by ``noise(shape)`` and smoothed in-plane by ``smooth_sigma``
     (each step skipped when None).  Only the crop and the smoothing halo
     are computed; voxels of the padding are ``PAD_VALUE`` and 0."""
-    crop = [(o - p, o - p + c) for o, p, c in zip(origin, _lead(image.shape, crop_shape), crop_shape)]
+    crop = [(o - p, o - p + c) for o, p, c in zip(origin, lead_padding(image.shape, crop_shape), crop_shape)]
     inside = [(max(lo, 0), min(hi, n)) for (lo, hi), n in zip(crop, image.shape)]
     halo = (0,) + (_smoothing_radius(smooth_sigma),) * 2 if smooth_sigma is not None else (0, 0, 0)
     region = [(max(lo - h, 0), min(hi + h, n)) for (lo, hi), h, n in zip(inside, halo, image.shape)]
@@ -303,20 +287,20 @@ def _patch(image, mask, geometry, origin, crop_shape, smooth_sigma=None, noise=N
 def augment(image: np.ndarray, mask: np.ndarray, rng, policy: AugmentPolicy):
     """Apply the augmentation pipeline; returns a (image, mask) patch pair.
 
-    Draws, in order: the rotation and its angle, the two flips, the noise
-    and its sigma, the smoothing and its sigma, then the crop (the
-    foreground-biased centre is a voxel of the input mask, carried through
-    the rotation and flips), then the noise values over the crop and its
-    smoothing halo.
+    Draws, in order: the rotation and its angle (a sample that is not
+    rotated is sampled at angle 0), the two flips, the noise and its sigma,
+    the smoothing and its sigma, then the crop (the foreground-biased
+    centre is a voxel of the input mask, carried through the rotation and
+    flips), then the noise values over the crop and its smoothing halo.
     """
     img = np.asarray(image)  # widened to float64 only where sampled
     msk = np.asarray(mask)
     if img.shape != msk.shape:
         raise ValueError(f"image {img.shape} and mask {msk.shape} must be paired")
-    angle = rng.uniform(-policy.rotate_degrees, policy.rotate_degrees) if rng.random() < policy.rotate_prob else None
+    angle = rng.uniform(-ROTATE_DEGREES, ROTATE_DEGREES) if rng.random() < policy.rotate_prob else 0.0
     flips = (rng.random() < policy.flip_prob, rng.random() < policy.flip_prob)  # rows, columns
-    noise_sigma = rng.uniform(*policy.noise_sigma_range) if rng.random() < policy.noise_prob else None
-    smooth_sigma = rng.uniform(*policy.smooth_sigma_range) if rng.random() < policy.smooth_prob else None
+    noise_sigma = rng.uniform(*NOISE_SIGMA_RANGE) if rng.random() < policy.noise_prob else None
+    smooth_sigma = rng.uniform(*SMOOTH_SIGMA_RANGE) if rng.random() < policy.smooth_prob else None
     geometry = _Geometry(img.shape, angle, flips)
     origin = _crop_origin(msk, policy.crop_shape, rng, policy.fg_bias_prob, geometry.place)
 

@@ -42,7 +42,7 @@ from .config import (
 from .inference import timed_predict
 from .losses import confusion, metrics
 from .model import ConfigError, build_unet
-from .phantoms import PhantomError, case_paths, generate_dataset, list_cases
+from .phantoms import PhantomError, case_ids, case_paths, generate_dataset, list_cases
 from .training import (
     CheckpointError,
     DatasetError,
@@ -54,7 +54,7 @@ from .training import (
     train_stage2,
 )
 from .volumes import RvolError, SegMask, read_rvol, write_file_atomic, write_rvol
-from .volumetry import LESION_CLASSES, compare_methods, tada_measure, tada_volume_ml, voxel_volume_ml
+from .volumetry import LESION_CLASSES, SOLITARY, compare_methods, tada_measure, tada_volume_ml, voxel_volume_ml
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -206,7 +206,7 @@ def _mask_cases(directory) -> dict[str, Path]:
     d = Path(directory)
     if not d.is_dir():
         raise UsageError(f"directory not found: {d}")
-    return {p.name[5:-9]: p for p in sorted(d.glob("case_*_msk.rvol"))}
+    return {case_id: case_paths(d, case_id)[1] for case_id in case_ids(d, "msk")}
 
 
 def _mask_pairs(pred_dir, gt_dir):
@@ -279,12 +279,12 @@ def _lesion_classes(gt_dir) -> dict[str, str]:
     must list every ground-truth case; every case is solitary without one."""
     path = Path(gt_dir) / "dataset.json"
     if not path.exists():
-        return dict.fromkeys(_mask_cases(gt_dir), "solitary")
+        return dict.fromkeys(_mask_cases(gt_dir), SOLITARY)
     payload = _read_json(path)
     cases = payload.get("cases", []) if isinstance(payload, dict) else None
     if not isinstance(cases, list) or not all(isinstance(c, dict) and isinstance(c.get("case_id"), str) for c in cases):
         raise JsonFormatError(f'{path}: expected {{"cases": [{{"case_id": "...", "lesion_class": ...}}, ...]}}')
-    classes = {c["case_id"]: c.get("lesion_class", "solitary") for c in cases}
+    classes = {c["case_id"]: c.get("lesion_class", SOLITARY) for c in cases}
     bad = {cid: cls for cid, cls in classes.items() if cls not in LESION_CLASSES}
     if bad:
         raise JsonFormatError(f"{path}: lesion_class must be one of {LESION_CLASSES}, got {bad}")

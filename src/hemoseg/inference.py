@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .augment import PAD_VALUE, hu_window, pad_to_shape, zscore_normalize
+from .augment import PAD_VALUE, hu_window, lead_padding, pad_to_shape, zscore_normalize
 from .autodiff import ShapeError, Tensor
 from .volumes import SegMask, VolumeImage, resize_trilinear
 
@@ -14,7 +14,6 @@ from .volumes import SegMask, VolumeImage, resize_trilinear
 @dataclass
 class PatchGrid:
     window: tuple[int, int, int]
-    stride: tuple[int, int, int]
     origins: list[tuple[int, int, int]]
     volume_shape: tuple[int, int, int]
 
@@ -65,7 +64,7 @@ def decompose(volume_shape, window, stride) -> PatchGrid:
             raise ShapeError(f"stride {stride} must be in [1, window] to guarantee coverage")
     per_axis = [_axis_origins(volume_shape[ax], window[ax], stride[ax]) for ax in range(3)]
     origins = [(d, h, w) for d in per_axis[0] for h in per_axis[1] for w in per_axis[2]]
-    return PatchGrid(window=window, stride=stride, origins=origins, volume_shape=volume_shape)
+    return PatchGrid(window=window, origins=origins, volume_shape=volume_shape)
 
 
 def recompose_average(patch_probs, grid: PatchGrid, num_channels: int) -> np.ndarray:
@@ -128,7 +127,7 @@ def sliding_window_predict(model, image: VolumeImage, stride=None, info=None) ->
     if info is not None:
         info["patch_count"] = len(grid.origins)
     padded = pad_to_shape(windowed, grid.volume_shape, PAD_VALUE)
-    lead = tuple((p - o) // 2 for p, o in zip(padded.shape, windowed.shape))
+    lead = lead_padding(windowed.shape, grid.volume_shape)
 
     def patches():
         for origin in grid.origins:

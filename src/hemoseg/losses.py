@@ -7,6 +7,8 @@ import numpy as np
 
 from .autodiff import ShapeError, Tensor, clamp_min, div, log, mul, slice_channels
 
+DICE_EPSILON = 1e-5  # smooths the Dice ratio; an empty target and prediction give loss 0
+
 
 @dataclass
 class LossReport:
@@ -62,22 +64,20 @@ def downsample_labels(labels: np.ndarray, target_spatial: tuple[int, int, int]) 
     return labels[:, ::fd, ::fh, ::fw]
 
 
-def dice_loss(prob: Tensor, target_onehot, epsilon: float = 1e-5) -> Tensor:
-    """1 - (2*intersection + eps)/(sum p + sum g + eps) over the foreground channel.
+def dice_loss(prob: Tensor, target_onehot: np.ndarray) -> Tensor:
+    """1 - (2*intersection + eps)/(sum p + sum g + eps) over the foreground channel, eps = ``DICE_EPSILON``.
 
     Sums run over the whole batch before the ratio (batch-Dice), which
     weights samples by their voxel counts rather than equally.
     """
-    target = target_onehot.data if isinstance(target_onehot, Tensor) else np.asarray(target_onehot)
+    target = np.asarray(target_onehot)
     if prob.shape != target.shape:
         raise ShapeError(f"dice_loss: prob {prob.shape} vs target {target.shape}")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
     p_fg = slice_channels(prob, 1, 2)
     g_fg = Tensor(np.ascontiguousarray(target[:, 1:2]).astype(prob.data.dtype))
     inter = mul(p_fg, g_fg).sum()
     denom = p_fg.sum() + float(g_fg.data.sum(dtype=np.float64))
-    return 1.0 - div(inter * 2.0 + epsilon, denom + epsilon)
+    return 1.0 - div(inter * 2.0 + DICE_EPSILON, denom + DICE_EPSILON)
 
 
 def ce_loss(prob: Tensor, target_index: np.ndarray) -> Tensor:
@@ -90,7 +90,7 @@ def ce_loss(prob: Tensor, target_index: np.ndarray) -> Tensor:
     return picked * (-1.0 / labels.size)
 
 
-def deep_supervision_loss(outputs: dict, labels: np.ndarray, epsilon: float = 1e-5) -> LossReport:
+def deep_supervision_loss(outputs: dict, labels: np.ndarray) -> LossReport:
     """Dice + CE at the final head and every aux head, summed unweighted.
 
     Aux targets are nearest-neighbor downsamplings of the full-resolution
@@ -102,7 +102,7 @@ def deep_supervision_loss(outputs: dict, labels: np.ndarray, epsilon: float = 1e
     per_level = []
     for level, prob in entries:
         lab = labels if prob.shape[2:] == labels.shape[1:] else downsample_labels(labels, prob.shape[2:])
-        d = dice_loss(prob, one_hot(lab, prob.shape[1]), epsilon)
+        d = dice_loss(prob, one_hot(lab, prob.shape[1]))
         c = ce_loss(prob, lab)
         s = d + c
         total = s if total is None else total + s

@@ -122,15 +122,15 @@ def toy_config(patch_shape=(8, 32, 32)) -> UNet3DConfig:
     )
 
 
-def toy_cascade_config(patch_shape=(8, 32, 32), stage2_shape=(16, 32, 32)) -> CascadeConfig:
-    """Desk-scale cascade.  Stage 2 keeps the full crop depth by default:
-    lesion boxes on thick-slice volumes span most of the slice axis, and
-    squeezing them through a shallower input resamples away the very
-    boundaries the refinement stage exists to sharpen."""
+def toy_cascade_config() -> CascadeConfig:
+    """Desk-scale cascade on 8x32x32 patches.  Stage 2 keeps the full crop
+    depth (16x32x32): lesion boxes on thick-slice volumes span most of the
+    slice axis, and squeezing them through a shallower input resamples away
+    the very boundaries the refinement stage exists to sharpen."""
     return CascadeConfig(
-        stage1=toy_config(patch_shape),
-        stage2=toy_config(stage2_shape),
-        stage2_input_shape=tuple(stage2_shape),
+        stage1=toy_config((8, 32, 32)),
+        stage2=toy_config((16, 32, 32)),
+        stage2_input_shape=(16, 32, 32),
     )
 
 

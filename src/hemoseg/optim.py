@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 
+ADAM_BETAS = (0.9, 0.999)  # decay rates of the first and second moment estimates
+ADAM_EPS = 1e-8  # added to the root of the second moment before dividing
+
 
 class MissingGradient(RuntimeError):
     """A trainable parameter reached the optimizer without a gradient."""
@@ -14,17 +17,16 @@ class AdamW:
     """Decoupled-decay Adam over named parameter tensors.
 
     Weight decay multiplies parameters by (1 - lr*wd) before the
-    bias-corrected moment update; it never flows through the moments.
+    bias-corrected moment update; it never flows through the moments.  The
+    moments decay at ``ADAM_BETAS`` and ``ADAM_EPS`` guards the division.
     """
 
-    def __init__(self, named_params, lr=1e-2, betas=(0.9, 0.999), eps=1e-8, weight_decay=1e-4):
+    def __init__(self, named_params, lr=1e-2, weight_decay=1e-4):
         self.named_params = list(named_params)
         names = [n for n, _ in self.named_params]
         if len(set(names)) != len(names):
             raise ValueError("duplicate parameter names")
         self.lr = float(lr)
-        self.betas = (float(betas[0]), float(betas[1]))
-        self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self.step_count = 0
         self.m = {n: np.zeros_like(p.data) for n, p in self.named_params}
@@ -36,7 +38,7 @@ class AdamW:
 
     def step(self) -> None:
         self.step_count += 1
-        b1, b2 = self.betas
+        b1, b2 = ADAM_BETAS
         c1 = 1.0 - b1**self.step_count
         c2 = 1.0 - b2**self.step_count
         for name, p in self.named_params:
@@ -49,7 +51,7 @@ class AdamW:
             v = self.v[name]
             m += (1.0 - b1) * (g - m)
             v += (1.0 - b2) * (g * g - v)
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         out = {"optim.step": np.array([self.step_count], dtype=np.int64)}

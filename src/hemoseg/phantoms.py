@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .volumes import SegMask, VolumeImage, write_file_atomic, write_rvol
+from .volumetry import SCATTERED, SOLITARY
 
 AIR_HU = -1000.0
 BRAIN_FRACTION = 0.92  # brain semi-axes as a fraction of the half-extents
@@ -113,7 +114,7 @@ def generate_phantom(spec: PhantomSpec) -> tuple[VolumeImage, SegMask, dict]:
 
     record = {
         "lesion_count": count,
-        "lesion_class": "solitary" if count == 1 else "scattered",
+        "lesion_class": SOLITARY if count == 1 else SCATTERED,
         "analytic_lesion_ml": analytic_ml,
     }
     return VolumeImage(hu.astype(np.float32), spacing), SegMask(mask, spacing), record
@@ -122,6 +123,11 @@ def generate_phantom(spec: PhantomSpec) -> tuple[VolumeImage, SegMask, dict]:
 def case_paths(directory, case_id: str) -> tuple[Path, Path]:
     d = Path(directory)
     return d / f"case_{case_id}_img.rvol", d / f"case_{case_id}_msk.rvol"
+
+
+def case_ids(directory, kind: str) -> list[str]:
+    """Sorted ids of the ``case_<id>_<kind>.rvol`` files in a directory, kind "img" or "msk"."""
+    return sorted(p.name[len("case_") : -len(f"_{kind}.rvol")] for p in Path(directory).glob(f"case_*_{kind}.rvol"))
 
 
 def generate_dataset(out_dir, count: int, seed: int, template: PhantomSpec) -> list[dict]:
@@ -146,7 +152,4 @@ def generate_dataset(out_dir, count: int, seed: int, template: PhantomSpec) -> l
 
 def list_cases(directory) -> list[str]:
     """Case ids present as full image/mask pairs, sorted."""
-    d = Path(directory)
-    imgs = {p.name[5:-9] for p in d.glob("case_*_img.rvol")}
-    msks = {p.name[5:-9] for p in d.glob("case_*_msk.rvol")}
-    return sorted(imgs & msks)
+    return sorted(set(case_ids(directory, "img")) & set(case_ids(directory, "msk")))

@@ -27,6 +27,7 @@ the one step loop ``_run_steps``.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -149,8 +150,8 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict) -> Path:
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     """The arrays and metadata of an HSCK file.  A file that does not parse
     (bad magic or version, a cut-short record, an unknown dtype code, a
-    record name that is not UTF-8, metadata that is not UTF-8 JSON) raises
-    CheckpointError naming the file."""
+    record name that is not UTF-8, metadata that is not a UTF-8 JSON
+    object) raises CheckpointError naming the file."""
     raw = Path(path).read_bytes()
     if len(raw) < _HEAD.size:
         raise CkptTruncated(f"{path}: shorter than the {_HEAD.size}-byte header")
@@ -178,7 +179,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         if code not in _CODE_DTYPES:
             raise CkptUnknownDtype(f"{path}: record {name!r} has unknown dtype code {code}")
         dtype = _CODE_DTYPES[code]
-        nbytes = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize
+        nbytes = math.prod(dims) * dtype.itemsize  # Python ints: a product of u32 dims cannot wrap
         if pos + nbytes > len(raw):
             raise CkptTruncated(f"{path}: record {name!r} payload cut short")
         arrays[name] = np.frombuffer(raw[pos : pos + nbytes], dtype=dtype.newbyteorder("<")).reshape(dims).copy()
@@ -188,6 +189,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         meta = json.loads(bytes(meta_arr).decode()) if meta_arr is not None else {}
     except ValueError as exc:  # not UTF-8, or not JSON
         raise CheckpointError(f"{path}: malformed {META_KEY} record: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: malformed {META_KEY} record: a {type(meta).__name__}, not an object")
     return arrays, meta
 
 
@@ -216,12 +219,15 @@ def load_stage_checkpoint(path) -> tuple[UNet3D, dict[str, np.ndarray], dict]:
     """Rebuild the model from a checkpoint; returns (model, optimizer arrays, meta).
 
     Model metadata that cannot build a model (a missing or mistyped field, a
-    config that does not validate), or state arrays whose names or shapes do
-    not fit the model it builds, raise CheckpointError naming the file.
+    config that does not validate), state arrays whose names or shapes do
+    not fit the model it builds, or ``train`` metadata that is not an object
+    raise CheckpointError naming the file.  ``meta["train"]`` is {} when absent.
     """
     arrays, meta = load_checkpoint(path)
     if "model" not in meta:
         raise CheckpointError(f"{path}: no model metadata")
+    if not isinstance(meta.setdefault("train", {}), dict):
+        raise CheckpointError(f"{path}: malformed train metadata: a {type(meta['train']).__name__}, not an object")
     model_arrays = {k: v for k, v in arrays.items() if not k.startswith("optim.")}
     optim_arrays = {k: v for k, v in arrays.items() if k.startswith("optim.")}
     try:
@@ -385,7 +391,7 @@ def resume_stage(checkpoint_path, dataset, cfg: TrainConfig):
     grow), and when the checkpoint is not a stage-1 checkpoint.
     """
     model, optim_arrays, meta = load_stage_checkpoint(checkpoint_path)
-    recorded = meta.get("train", {})
+    recorded = meta["train"]
     if recorded.get("stage") != "1":
         raise ValueError(f"{checkpoint_path}: stage {recorded.get('stage')!r} checkpoint; only stage 1 resumes")
     for name in _TRAJECTORY_FIELDS:
@@ -397,7 +403,7 @@ def resume_stage(checkpoint_path, dataset, cfg: TrainConfig):
     if optim_arrays:
         optimizer.load_state_arrays(optim_arrays)
     cfg.validate()
-    return _train_stage1(model, _window_dataset(dataset), cfg, optimizer, int(meta["train"]["next_step"]))
+    return _train_stage1(model, _window_dataset(dataset), cfg, optimizer, int(recorded["next_step"]))
 
 
 def _derived_path(base, tag: str) -> Path:
@@ -426,10 +432,7 @@ def load_cascade(paths) -> tuple[UNet3D, UNet3D, CascadeConfig]:
     """
     loaded = [load_stage_checkpoint(path) for path in paths]
     for path, (_, _, meta), want in zip(paths, loaded, ("1", "2")):
-        train = meta.get("train", {})
-        if not isinstance(train, dict):
-            raise CheckpointError(f"{path}: malformed train metadata: a {type(train).__name__}, not an object")
-        got = train.get("stage")
+        got = meta["train"].get("stage")
         if got != want:
             raise ConfigError(f"{path}: --model slot {want} needs a stage-{want} checkpoint, this is stage {got!r}")
     (stage1, _, _), (stage2, _, meta2) = loaded

@@ -26,6 +26,7 @@ import numpy as np
 from .volumes import SegMask
 
 LESION_CLASSES = ("solitary", "scattered")  # ABC/2 is reported for the first only
+SOLITARY, SCATTERED = LESION_CLASSES
 
 
 @dataclass
@@ -211,7 +212,7 @@ def compare_methods(entries) -> VolumetryReport:
         gt_ml = voxel_volume_ml(e["gt"])
         model_ml = voxel_volume_ml(e["pred"])
         tada_ml = tada_sec = tada_err = None
-        if e["lesion_class"] == "solitary" and e["gt"].voxels.any():
+        if e["lesion_class"] == SOLITARY and e["gt"].voxels.any():
             t0 = time.perf_counter()
             tada_ml = tada_volume_ml(tada_measure(e["gt"]))
             tada_sec = time.perf_counter() - t0

@@ -378,7 +378,7 @@ def test_scheduler_and_optimizer_hand_checks():
 
     p = Tensor(np.array([1.0], dtype=np.float64), requires_grad=True)
     p.grad = np.array([1.0], dtype=np.float64)
-    opt = AdamW([("p", p)], lr=0.1, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0)
+    opt = AdamW([("p", p)], lr=0.1, weight_decay=0.0)
     opt.step()
     expected = 1.0 - 0.1 * (1.0 / (1.0 + 1e-8))
     assert abs(float(p.data[0]) - expected) <= 1e-10

@@ -6,6 +6,7 @@ session and shared by the inference tests.
 """
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -555,11 +556,15 @@ BAD_INVOCATIONS = [
     *[(f"compare-tada-{name}", ["compare-tada", "--pred", f"{{{name}}}", "--gt", f"{{{name}}}"],
        EXIT_DATA, f"{name}/{file}{message}")
       for name, (file, _, message) in BAD_JSON.items()],
-    # a checkpoint with byte 0xff in its metadata JSON or as a record name's first byte
+    # a checkpoint with byte 0xff in its metadata JSON or as a record name's first byte, with
+    # metadata JSON that is a number, or with a record of 2**64 elements and no payload
     *[(f"checkpoint-{name}", ["infer", "--model", f"{{{name}}}", "--input", "{image}", "--output", "{tmp}/o.rvol"],
        EXIT_DATA, f"{name}.hsck: {message}")
       for name, message in (("meta_not_utf8", "malformed __meta__ record"),
-                            ("name_not_utf8", "a record name is not UTF-8"))],
+                            ("name_not_utf8", "a record name is not UTF-8"),
+                            ("huge_record", "record 'huge' payload cut short"))],
+    ("checkpoint-meta_number", ["infer", "--model", "{ckpt},{meta_number}", "--input", "{image}",
+                                "--output", "{tmp}/o.rvol"], EXIT_DATA, "meta_number.hsck: malformed __meta__ record"),
 ]
 
 
@@ -575,7 +580,8 @@ def no_foreground_dir(tmp_path_factory):
 def bad_inputs(tmp_path_factory, cascade_ckpts, phantom_dir):
     """Stage-1 checkpoints with one batch-norm buffer reshaped, with malformed
     model metadata or with a byte that is not UTF-8 in the metadata or a
-    record name, stage-2 checkpoints with malformed train metadata, an
+    record name, stage-2 checkpoints with malformed train metadata or
+    metadata that is not an object, a record too large to exist, an
     all-NaN image, masks on a smaller grid than the phantoms' for every
     phantom case, and copies of the phantom masks beside each ``BAD_JSON``
     file."""
@@ -603,6 +609,11 @@ def bad_inputs(tmp_path_factory, cascade_ckpts, phantom_dir):
     meta_at = raw.index(b'{"', raw.index(b"__meta__"))
     for name, at in (("meta_not_utf8", meta_at + 2), ("name_not_utf8", 11)):  # 11: the first record's name
         (out / f"{name}.hsck").write_bytes(bytes(raw[:at]) + b"\xff" + bytes(raw[at + 1 :]))
+    save_checkpoint(out / "meta_number.hsck", arrays2, 5)
+    # one float32 record "huge" of dims (65536,)*4: the element count wraps to 0 in int64
+    (out / "huge_record.hsck").write_bytes(
+        struct.pack("<4sBIH", b"HSCK", 1, 1, 4) + b"huge" + struct.pack("<BB4I", 0, 4, *(65536,) * 4)
+    )
     write_rvol(out / "nan.rvol", VolumeImage(np.full((16, 64, 64), np.nan, np.float32), (5.0, 1.0, 1.0)))
     tiny = out / "tiny"
     tiny.mkdir()
@@ -614,7 +625,8 @@ def bad_inputs(tmp_path_factory, cascade_ckpts, phantom_dir):
             (out / name / p.name).write_bytes(p.read_bytes())
         (out / name / file).write_text(json.dumps(payload))
     return {"var1": out / "var1.hsck", "var3": out / "var3.hsck", "nan": out / "nan.rvol", "tiny": tiny,
-            **{name: out / f"{name}.hsck" for name in (*metas, *train_metas, "meta_not_utf8", "name_not_utf8")},
+            **{name: out / f"{name}.hsck"
+               for name in (*metas, *train_metas, "meta_not_utf8", "name_not_utf8", "meta_number", "huge_record")},
             **{name: out / name for name in BAD_JSON}}
 
 

@@ -5,7 +5,7 @@ from scipy import ndimage, special
 
 import oracles
 from hemoseg import augment as augment_module
-from hemoseg.augment import AugmentPolicy, augment, hu_window, random_crop, zscore_normalize
+from hemoseg.augment import PAD_VALUE, AugmentPolicy, augment, hu_window, zscore_normalize
 from hemoseg.phantoms import (
     BRAIN_FRACTION,
     PhantomError,
@@ -336,11 +336,19 @@ class TestAugment:
             assert out_msk.sum() > 0
 
     def test_small_volume_padded_to_crop(self):
-        img = np.zeros((4, 16, 16))
-        msk = np.zeros((4, 16, 16), dtype=np.uint8)
-        out_img, out_msk = random_crop(img, msk, (8, 32, 32), np.random.default_rng(0))
+        img = np.full((4, 16, 16), 0.75, dtype=np.float32)
+        msk = np.ones((4, 16, 16), dtype=np.uint8)
+        out_img, out_msk = augment(img, msk, np.random.default_rng(0), AugmentPolicy.disabled((8, 32, 32)))
         assert out_img.shape == (8, 32, 32)
         assert out_msk.shape == (8, 32, 32)
+        # the volume sits at the centre, padded by 2 slices and 8 rows and columns each side
+        inner = np.s_[2:6, 8:24, 8:24]
+        np.testing.assert_array_equal(out_img[inner], img)
+        np.testing.assert_array_equal(out_msk[inner], msk)
+        outside = np.ones((8, 32, 32), dtype=bool)
+        outside[inner] = False
+        assert (out_img[outside] == PAD_VALUE).all()
+        assert (out_msk[outside] == 0).all()
 
     def test_intensity_steps_leave_mask_alone(self):
         img, msk = lesion_volume()
@@ -364,7 +372,7 @@ class TestAugment:
         for angle in (None, 17.3, -29.9, 90.0, 0.004):
             for flips in ((False, False), (True, False), (False, True), (True, True)):
                 for sigma in (None, 0.5, 0.83, 1.0):
-                    geometry = augment_module._Geometry(img.shape, angle, flips)
+                    geometry = augment_module._Geometry(img.shape, 0.0 if angle is None else angle, flips)
                     for origin in ([0, 0, 0], [n - c for n, c in zip(padded, crop)],
                                    [int(rng.integers(n - c + 1)) for n, c in zip(padded, crop)]):
                         got_img, got_msk = augment_module._patch(img, msk, geometry, origin, crop, sigma)
@@ -449,12 +457,13 @@ class TestScipyPorts:
     @pytest.mark.parametrize("angle", [None, 17.3])
     def test_patch_of_a_region_narrower_than_the_smoothing_radius(self, rng, angle):
         # a 3x3 plane is narrower than the radius 4 of sigma 1, so the
-        # smoothing reflects more than once; the patch pads it to the crop
+        # smoothing reflects more than once; the patch pads it to the crop.
+        # Sampled at angle 0, the patch is the unrotated scipy pipeline's bits.
         img = rng.uniform(0.0, 1.0, size=(2, 3, 3)).astype(np.float32)
         msk = (img > 0.5).astype(np.uint8)
         crop = (2, 8, 8)
         for flips in ((False, False), (True, True)):
-            geometry = augment_module._Geometry(img.shape, angle, flips)
+            geometry = augment_module._Geometry(img.shape, 0.0 if angle is None else angle, flips)
             got_img, got_msk = augment_module._patch(img, msk, geometry, [0, 0, 0], crop, 1.0)
             want_img, want_msk = oracles.augment_whole_volume_then_crop(img, msk, angle, flips, 1.0, [0, 0, 0], crop)
             if angle is None:

@@ -30,7 +30,7 @@ class TestDiceLoss:
         labels = (rng.random((1, 5, 6, 6)) < 0.6).astype(np.int64)
         assert labels.sum() >= 100
         oh = one_hot(labels, 2)
-        loss = dice_loss(Tensor(oh.astype(np.float64)), oh, EPS)
+        loss = dice_loss(Tensor(oh.astype(np.float64)), oh)
         assert loss.item() < 1e-4
 
     def test_zero_overlap_near_one(self):
@@ -38,7 +38,7 @@ class TestDiceLoss:
         labels[0, :2] = 1
         oh = one_hot(labels, 2)
         flipped = oh[:, ::-1]  # foreground prob exactly where target is background
-        loss = dice_loss(Tensor(np.ascontiguousarray(flipped, dtype=np.float64)), oh, EPS)
+        loss = dice_loss(Tensor(np.ascontiguousarray(flipped, dtype=np.float64)), oh)
         assert loss.item() >= 1.0 - 1e-4
 
     def test_uniform_half_hand_formula(self, rng):
@@ -46,7 +46,7 @@ class TestDiceLoss:
         n = labels.size
         k = int(labels.sum())
         prob = np.full((2, 2, 4, 4, 4), 0.5)
-        loss = dice_loss(Tensor(prob), one_hot(labels, 2), EPS)
+        loss = dice_loss(Tensor(prob), one_hot(labels, 2))
         assert loss.item() == pytest.approx(1.0 - (k + EPS) / (0.5 * n + k + EPS), rel=1e-6)
 
     def test_bounded_in_unit_interval(self, rng):
@@ -54,28 +54,23 @@ class TestDiceLoss:
             shape = (2, 3, 4, 4)
             prob = random_prob(rng, shape)
             labels = (rng.random(shape) < rng.random()).astype(np.int64)
-            v = dice_loss(Tensor(prob), one_hot(labels, 2), EPS).item()
+            v = dice_loss(Tensor(prob), one_hot(labels, 2)).item()
             assert 0.0 <= v <= 1.0
 
     def test_permutation_invariant(self, rng):
         shape = (1, 3, 4, 4)
         prob = random_prob(rng, shape)
         labels = (rng.random(shape) < 0.4).astype(np.int64)
-        v1 = dice_loss(Tensor(prob), one_hot(labels, 2), EPS).item()
+        v1 = dice_loss(Tensor(prob), one_hot(labels, 2)).item()
         perm = rng.permutation(labels.size)
         prob_p = prob.reshape(2, -1)[:, perm].reshape(prob.shape)
         labels_p = labels.reshape(-1)[perm].reshape(labels.shape)
-        v2 = dice_loss(Tensor(prob_p), one_hot(labels_p, 2), EPS).item()
+        v2 = dice_loss(Tensor(prob_p), one_hot(labels_p, 2)).item()
         assert v1 == pytest.approx(v2, rel=1e-6)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            dice_loss(Tensor(np.zeros((1, 2, 2, 2, 2))), np.zeros((1, 2, 2, 2, 3)), EPS)
-
-    def test_bad_epsilon(self):
-        oh = one_hot(np.zeros((1, 1, 1, 1), dtype=np.int64), 2)
-        with pytest.raises(ValueError):
-            dice_loss(Tensor(oh), oh, 0.0)
+            dice_loss(Tensor(np.zeros((1, 2, 2, 2, 2))), np.zeros((1, 2, 2, 2, 3)))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(61)
@@ -84,7 +79,7 @@ class TestDiceLoss:
         prob = rng.uniform(0.1, 0.9, size=(1, 2, 2, 3, 3))
 
         def build(leaves):
-            return dice_loss(leaves[0], oh, EPS)
+            return dice_loss(leaves[0], oh)
 
         oracles.gradcheck(build, [prob], rtol=1e-3, atol=1e-7)
 
@@ -255,6 +250,6 @@ class TestConfusionAndMetrics:
         shape = (1, 3, 4, 4)
         prob = random_prob(rng, shape)
         labels = (rng.random(shape) < 0.4).astype(np.int64)
-        got = dice_loss(Tensor(prob), one_hot(labels, 2), EPS).item()
+        got = dice_loss(Tensor(prob), one_hot(labels, 2)).item()
         want = oracles.dice_loss_direct(prob[:, 1], labels.astype(float), EPS)
         assert got == pytest.approx(want, rel=1e-6)

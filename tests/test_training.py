@@ -11,6 +11,7 @@ from hemoseg.model import build_unet, toy_cascade_config, toy_config
 from hemoseg.optim import AdamW, CosineWarmRestarts, MissingGradient
 from hemoseg.phantoms import PhantomSpec, generate_phantom
 from hemoseg.training import (
+    CheckpointError,
     CkptBadMagic,
     CkptTruncated,
     CkptUnknownDtype,
@@ -64,7 +65,7 @@ class TestAdamW:
         data = rng.normal(size=(3, 4)).astype(np.float64)
         grad = rng.normal(size=(3, 4)).astype(np.float64)
         p = Tensor(data.copy(), requires_grad=True)
-        opt = AdamW([("w", p)], lr=0.05, betas=(0.9, 0.999), eps=1e-8, weight_decay=1e-4)
+        opt = AdamW([("w", p)], lr=0.05, weight_decay=1e-4)
         for _ in range(7):
             p.grad = grad.copy()
             opt.step()
@@ -366,6 +367,15 @@ class TestTrainStage:
         with pytest.raises(ValueError, match="lr"):
             resume_stage(tmp_path / "c.hsck", dataset, replace(cfg, epochs=2, lr=cfg.lr / 2))
         assert (tmp_path / "c.hsck").read_bytes() == before
+
+    def test_resume_refuses_train_metadata_that_is_not_an_object(self, tmp_path):
+        dataset = phantom_dataset(1, base_seed=5)
+        cfg = TrainConfig(epochs=1, steps_per_epoch=1, batch_size=1, seed=21, checkpoint_path=str(tmp_path / "c.hsck"))
+        train_stage(build_unet(toy_config(), seed=21), dataset, cfg)
+        arrays, meta = load_checkpoint(tmp_path / "c.hsck")
+        save_checkpoint(tmp_path / "c.hsck", arrays, {**meta, "train": ["stage", "1"]})
+        with pytest.raises(CheckpointError, match="c.hsck: malformed train metadata: a list, not an object"):
+            resume_stage(tmp_path / "c.hsck", dataset, replace(cfg, epochs=2))
 
     def test_resume_refuses_a_stage2_checkpoint(self, tmp_path):
         dataset = phantom_dataset(1, base_seed=5)
