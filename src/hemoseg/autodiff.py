@@ -2,7 +2,8 @@
 
 Implements exactly the operation set the 3D segmentation network needs:
 3D convolution (optionally strided for downsampling), trilinear upsampling,
-train-mode batch normalization, ReLU, residual add, channel concat/slice,
+train-mode batch normalization (optionally with its ReLU fused in, so the
+graph keeps no separate ReLU output), ReLU, residual add, channel concat/slice,
 channel softmax, and the elementwise/reduction ops the losses are built from.
 Data lives in row-major numpy buffers, float32 for training and inference,
 float64 for gradient checking.
@@ -49,9 +50,10 @@ _arena = threading.local()
 def scratch_arena():
     """Let this thread's conv kernels reuse their scratch buffers until exit.
 
-    Each role of ``_scratch`` (gathered columns, accumulator, partial
-    products, gradient on the grid, weight-gradient parts) keeps one buffer
-    that grows to the largest request, so consecutive train steps reuse
+    Each role of ``_scratch`` keeps one buffer that grows to the largest
+    request: ``gather`` (gathered columns), ``acc`` (the accumulator, and in
+    backward the gradient on the grid), ``prod`` (partial products) and
+    ``parts`` (weight-gradient parts).  Consecutive train steps thus reuse
     memory instead of faulting fresh pages in: the caching-allocator idea
     of Paszke et al. 2019 (PyTorch, sec. 5.3), with one buffer per role
     rather than per shape.  Leaving the arena drops them all.  The buffers
@@ -232,7 +234,8 @@ class Tensor:
 def _accum(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
     """Add g to t's gradient.  A first gradient is stored C-ordered in t's
     dtype, as a copy unless ``fresh`` says the op made g for this call and
-    keeps no other reference to it."""
+    keeps no other reference to it.  So t owns its ``grad``, and t's
+    backward may write into the array it receives."""
     if not (t.requires_grad or t.record is not None):
         return
     if t.grad is None:
@@ -530,8 +533,11 @@ class _ConvPlan:
 
     def on_grid(self, g):
         """Output gradient g [N,K,do,ho,wo] on the grid's columns, zero
-        outside the output corner, as a [K, cols] array."""
-        g_cols = _scratch("g_cols", self.grid_shape, g.dtype)
+        outside the output corner, as a [K, cols] array.  It takes the
+        accumulator's scratch buffer: backward drops it before the stride-1
+        input gradient's conv takes that buffer, and a strided input
+        gradient takes none."""
+        g_cols = _scratch("acc", self.grid_shape, g.dtype)
         g_cols.fill(0)
         g_cols[self.corner] = g.transpose(1, 0, 2, 3, 4)
         return g_cols.reshape(self.k, self.cols)
@@ -667,7 +673,8 @@ def conv3d(
 
     The backward closure keeps references to the input and the weight, no
     padded or gathered copy.  The gathered columns, the accumulator and the
-    gradient on the grid are transients from ``_scratch``: inside
+    gradient on the grid (which reuses the accumulator's buffer, never live
+    at the same time) are transients from ``_scratch``: inside
     ``scratch_arena()`` they reuse the arena's buffers, outside it the
     gathered buffer is freed before the output is allocated.  The output
     and the gradients are always fresh arrays.
@@ -804,8 +811,9 @@ class BatchNormStats:
         self.batches_tracked = np.zeros(1, dtype=np.int64)
 
 
-def batch_norm3d(x: Tensor, gamma: Tensor, beta: Tensor, stats: BatchNormStats) -> Tensor:
-    """Train-mode per-channel normalization over (N, D, H, W).
+def batch_norm3d(x: Tensor, gamma: Tensor, beta: Tensor, stats: BatchNormStats, relu: bool = False) -> Tensor:
+    """Train-mode per-channel normalization over (N, D, H, W), followed by
+    a ReLU when ``relu`` is set.
 
     Normalizes by batch statistics, differentiates through them, and moves
     the running stats by ``BN_MOMENTUM`` toward the batch values.  Forward
@@ -820,6 +828,14 @@ def batch_norm3d(x: Tensor, gamma: Tensor, beta: Tensor, stats: BatchNormStats) 
     full-size array is saved.  There is no eval mode here: at inference
     batch norm is a fixed affine map, which ``model.BatchNorm3dLayer.fold``
     folds into the preceding conv.
+
+    With ``relu`` the op is ``relu(batch_norm3d(...))`` with one full-size
+    array fewer in the graph, after In-Place Activated BatchNorm (Rota Bulo,
+    Porzi and Kontschieder 2018): forward clamps its output in place, and
+    backward masks the incoming gradient in place by ``out > 0`` (a node
+    owns its ``grad``, see ``_accum``) before the batch-norm backward.  Both
+    are the separate ``relu``'s arithmetic, so the results are bitwise the
+    same; NaN stays NaN.
     """
     if x.ndim != 5:
         raise ShapeError(f"batch_norm3d: need 5-d input, got {x.shape}")
@@ -839,8 +855,12 @@ def batch_norm3d(x: Tensor, gamma: Tensor, beta: Tensor, stats: BatchNormStats) 
     out *= inv_std
     out *= gamma.data.reshape(bshape)
     out += beta.data.reshape(bshape)
+    if relu:
+        np.maximum(out, out.dtype.type(0), out=out)
 
     def backward(g):
+        if relu:
+            np.multiply(g, out > 0, out=g)
         xhat = x.data - mean
         xhat *= inv_std
         gx = g * xhat

@@ -246,8 +246,10 @@ class BatchNorm3dLayer(_Module):
         self.stats = BatchNormStats(channels)
         self.folded: tuple[Tensor, Tensor] | None = None
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return ad.batch_norm3d(x, self.gamma, self.beta, self.stats)
+    def __call__(self, x: Tensor, relu: bool = False) -> Tensor:
+        """Train-mode batch norm of ``x``; ``relu`` fuses the ReLU that
+        follows it (``autodiff.batch_norm3d``)."""
+        return ad.batch_norm3d(x, self.gamma, self.beta, self.stats, relu=relu)
 
     def fold(self, conv: Conv3dLayer) -> tuple[Tensor, Tensor]:
         """Weight and bias of one conv that computes eval-mode batch norm of ``conv(x)``.
@@ -295,11 +297,21 @@ def _conv_bn(conv: Conv3dLayer, bn: BatchNorm3dLayer, x: Tensor, train: bool) ->
     return conv(x, *folded)
 
 
+def _conv_bn_relu(conv: Conv3dLayer, bn: BatchNorm3dLayer, x: Tensor, train: bool) -> Tensor:
+    """``relu(_conv_bn(conv, bn, x, train))``; in train mode the ReLU runs
+    inside the batch norm, so the graph keeps no separate ReLU output."""
+    if train:
+        return bn(conv(x), relu=True)
+    return ad.relu(_conv_bn(conv, bn, x, train))
+
+
 class ResidualBlock(_Module):
     """Two 3x3x3 conv+BN stages with a shortcut across the pair.
 
     When the block changes resolution or width, the shortcut is a strided
-    1x1x1 projection; otherwise it is the identity.
+    1x1x1 projection; otherwise it is the identity.  In train mode the first
+    stage's ReLU is fused into its batch norm; the second stage's ReLU
+    follows the residual add.
     """
 
     def __init__(self, in_ch, out_ch, rng, down_factors=None):
@@ -315,14 +327,15 @@ class ResidualBlock(_Module):
             self.proj = None
 
     def __call__(self, x: Tensor, train: bool) -> Tensor:
-        y = ad.relu(_conv_bn(self.conv1, self.bn1, x, train))
+        y = _conv_bn_relu(self.conv1, self.bn1, x, train)
         y = _conv_bn(self.conv2, self.bn2, y, train)
         shortcut = _conv_bn(self.proj, self.proj_bn, x, train) if self.proj is not None else x
         return ad.relu(ad.add(y, shortcut))
 
 
 class DecoderStage(_Module):
-    """Upsample, project, concat the encoder skip, refine with a block."""
+    """Upsample, project (conv, batch norm and ReLU, the ReLU fused into the
+    batch norm in train mode), concat the encoder skip, refine with a block."""
 
     def __init__(self, below_ch, skip_ch, out_ch, factors, rng):
         self.factors = tuple(factors)
@@ -332,7 +345,7 @@ class DecoderStage(_Module):
 
     def __call__(self, below: Tensor, skip: Tensor, train: bool) -> Tensor:
         u = ad.upsample_trilinear(below, self.factors)
-        u = ad.relu(_conv_bn(self.up_proj, self.up_bn, u, train))
+        u = _conv_bn_relu(self.up_proj, self.up_bn, u, train)
         return self.block(ad.concat_channels(u, skip), train)
 
 
@@ -439,7 +452,10 @@ class UNet3D(_Module):
         tensor) at each configured deep-supervision station other than 0, at
         that station's native resolution, and batch norm
         (``autodiff.batch_norm3d``, train-only) uses and updates batch
-        statistics.
+        statistics.  Where a batch norm feeds a ReLU directly (each block's
+        first stage, each decoder's projection) the ReLU is fused into it, so
+        the graph holds the conv output and the activated output, not a
+        third array between them.
 
         Eval mode is the inference forward and returns ``aux == []``: it
         computes only the final head, and each conv with its batch norm

@@ -11,8 +11,10 @@ Checkpoint layout (HSCK), all little-endian:
 dtype codes: 0 float32, 1 float64, 2 uint8, 3 int64; saving an array of
 any other dtype raises CkptUnknownDtype, naming the record, before a byte
 is written.  Records are sorted by name, so identical state always
-serializes to identical bytes.  Run metadata (model config, training
-position) rides along as a JSON blob in the reserved "__meta__" record.
+serializes to identical bytes; the reader refuses names that are not
+strictly increasing and bytes after the last record.  Run metadata (model
+config, training position) rides along as a JSON blob in the reserved
+"__meta__" record.
 
 Every stochastic choice in a run is drawn from a fresh generator seeded by
 (seed, stream, step), never from a long-lived stream.  Resuming from a
@@ -75,13 +77,21 @@ class DatasetError(ValueError):
 
 
 class TrainingAbort(RuntimeError):
-    """Loss went non-finite; carries the diagnostic context."""
+    """Loss or state went non-finite; carries the diagnostic context.
 
-    def __init__(self, step: int, lr: float, per_level):
-        super().__init__(f"non-finite loss at step {step} (lr {lr:.3g}): per-level {per_level}")
+    ``array`` names the first non-finite array of the checkpoint a step was
+    about to write (None when the loss went non-finite)."""
+
+    def __init__(self, step: int, lr: float, per_level, array: str | None = None):
+        if array is None:
+            msg = f"non-finite loss at step {step} (lr {lr:.3g}): per-level {per_level}"
+        else:
+            msg = f"non-finite {array} after step {step} (lr {lr:.3g}); no checkpoint written"
+        super().__init__(msg)
         self.step = step
         self.lr = lr
         self.per_level = per_level
+        self.array = array
 
 
 @dataclass(frozen=True)
@@ -150,8 +160,10 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict) -> Path:
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     """The arrays and metadata of an HSCK file.  A file that does not parse
     (bad magic or version, a cut-short record, an unknown dtype code, a
-    record name that is not UTF-8, metadata that is not a UTF-8 JSON
-    object) raises CheckpointError naming the file."""
+    record name that is not UTF-8, records not in strictly increasing name
+    order, so also a duplicate name, bytes after the last record, metadata
+    that is not a UTF-8 JSON object) raises CheckpointError naming the
+    file."""
     raw = Path(path).read_bytes()
     if len(raw) < _HEAD.size:
         raise CkptTruncated(f"{path}: shorter than the {_HEAD.size}-byte header")
@@ -162,6 +174,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         raise CkptUnknownVersion(f"{path}: unsupported version {version}")
     pos = _HEAD.size
     arrays: dict[str, np.ndarray] = {}
+    prev = None
     for _ in range(count):
         try:
             (nlen,) = struct.unpack_from("<H", raw, pos)
@@ -176,6 +189,11 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
             raise CkptTruncated(f"{path}: record header cut short: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise CheckpointError(f"{path}: a record name is not UTF-8: {exc}") from exc
+        if name == prev:
+            raise CheckpointError(f"{path}: duplicate record {name!r}")
+        if prev is not None and name < prev:
+            raise CheckpointError(f"{path}: record {name!r} out of name order, after {prev!r}")
+        prev = name
         if code not in _CODE_DTYPES:
             raise CkptUnknownDtype(f"{path}: record {name!r} has unknown dtype code {code}")
         dtype = _CODE_DTYPES[code]
@@ -184,6 +202,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
             raise CkptTruncated(f"{path}: record {name!r} payload cut short")
         arrays[name] = np.frombuffer(raw[pos : pos + nbytes], dtype=dtype.newbyteorder("<")).reshape(dims).copy()
         pos += nbytes
+    if pos != len(raw):
+        raise CheckpointError(f"{path}: {len(raw) - pos} bytes after the last record")
     meta_arr = arrays.pop(META_KEY, None)
     try:
         meta = json.loads(bytes(meta_arr).decode()) if meta_arr is not None else {}
@@ -349,6 +369,9 @@ def _run_steps(model, make_batch, cfg: TrainConfig, stage_tag: str, optimizer=No
             )
             epoch_end = (step + 1) % cfg.steps_per_epoch == 0 or step + 1 == total_steps
             if epoch_end and cfg.checkpoint_path is not None:
+                bad = _first_non_finite(model, optimizer)
+                if bad is not None:
+                    raise TrainingAbort(step, lr, report.per_level, bad)
                 train_meta = {
                     "stage": stage_tag,
                     "next_step": step + 1,
@@ -358,6 +381,16 @@ def _run_steps(model, make_batch, cfg: TrainConfig, stage_tag: str, optimizer=No
                 }
                 save_stage_checkpoint(cfg.checkpoint_path, model, optimizer, train_meta)
     return history
+
+
+def _first_non_finite(model, optimizer) -> str | None:
+    """The name of the first array a stage checkpoint of ``model`` and
+    ``optimizer`` would hold that is not all finite, or None."""
+    for arrays in (model.state_arrays(), optimizer.state_arrays()):
+        for name, arr in arrays.items():
+            if not np.isfinite(arr).all():
+                return name
+    return None
 
 
 def _make_optimizer(model, cfg: TrainConfig) -> AdamW:
@@ -388,7 +421,8 @@ def resume_stage(checkpoint_path, dataset, cfg: TrainConfig):
 
     Raises ValueError, naming the field, when one of ``_TRAJECTORY_FIELDS``
     of ``cfg`` differs from the checkpoint's recorded run (``epochs`` may
-    grow), and when the checkpoint is not a stage-1 checkpoint.
+    grow), and when the checkpoint is not a stage-1 checkpoint; a missing
+    or non-integer ``next_step`` raises CheckpointError naming the file.
     """
     model, optim_arrays, meta = load_stage_checkpoint(checkpoint_path)
     recorded = meta["train"]
@@ -399,11 +433,14 @@ def resume_stage(checkpoint_path, dataset, cfg: TrainConfig):
             raise ValueError(
                 f"{checkpoint_path}: {name} is {getattr(cfg, name)!r} but the checkpoint's run used {recorded.get(name)!r}"
             )
+    next_step = recorded.get("next_step")
+    if not isinstance(next_step, int) or isinstance(next_step, bool) or next_step < 0:
+        raise CheckpointError(f"{checkpoint_path}: train metadata next_step is {next_step!r}, not an integer >= 0")
     optimizer = _make_optimizer(model, cfg)
     if optim_arrays:
         optimizer.load_state_arrays(optim_arrays)
     cfg.validate()
-    return _train_stage1(model, _window_dataset(dataset), cfg, optimizer, int(recorded["next_step"]))
+    return _train_stage1(model, _window_dataset(dataset), cfg, optimizer, next_step)
 
 
 def _derived_path(base, tag: str) -> Path:

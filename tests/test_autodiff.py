@@ -224,6 +224,16 @@ class TestConsumedGraph:
             tracemalloc.stop()
         assert peak <= 1.25 * start, f"backward peak {peak / start:.3f}x the graph at backward start"
 
+    def test_train_graph_fuses_every_relu_that_follows_a_batch_norm(self):
+        # a batch norm that feeds a ReLU runs it inside (relu=True), so no
+        # graph node keeps a batch-norm output only for a ReLU to read
+        net, x, labels = toy_train_batch()
+        report = deep_supervision_loss(net(Tensor(x)), labels)
+        records = [t.record for t in graph_nodes(report.total) if t.record is not None]
+        relus = [r for r in records if r.op == "relu"]
+        assert not [r for r in relus if r.parents[0].record is not None and r.parents[0].record.op == "batch_norm3d"]
+        assert len(relus) == 6  # the one after each of the 6 residual blocks' adds
+
 
 class TestConv3d:
     def test_forward_matches_loop_oracle(self):
@@ -346,6 +356,8 @@ class TestScratchArena:
                 finally:
                     tracemalloc.stop()
             arena = list(ad._arena.buffers.values())
+            roles = set(ad._arena.buffers)
+        assert "acc" in roles and "g_cols" not in roles  # the grid gradient took the accumulator's buffer
         results = out.data.nbytes + x.grad.nbytes + w.grad.nbytes + b.grad.nbytes
         assert arena and sum(buf.nbytes for buf in arena) > results  # the arena is in use
         assert peak <= results + 4 * w.data.nbytes + 65536, f"allocated {peak / results:.2f}x the results"
@@ -583,6 +595,53 @@ class TestBatchNorm3d:
             return mul(out, out).mean()
 
         oracles.gradcheck(build, [x, gamma, beta], rtol=1e-3, atol=1e-5)
+
+    @pytest.mark.parametrize("shape", [(2, 8, 8, 32, 32), (2, 8, 16, 32, 32), (2, 16, 4, 16, 16)])
+    def test_fused_relu_is_bitwise_relu_of_batch_norm(self, shape):
+        # output, running stats and the x, gamma and beta gradients of
+        # batch_norm3d(relu=True) are the bits of relu(batch_norm3d(...))
+        rng = np.random.default_rng(47)
+        c = shape[1]
+        x = rng.normal(loc=0.3, scale=2.0, size=shape).astype(np.float32)
+        gamma = rng.uniform(0.5, 1.5, c).astype(np.float32)
+        beta = rng.normal(size=c).astype(np.float32)
+        g = rng.normal(size=shape).astype(np.float32)
+        results = []
+        for fused in (False, True):
+            leaves = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
+            stats = BatchNormStats(c)
+            out = batch_norm3d(*leaves, stats, relu=True) if fused else relu(batch_norm3d(*leaves, stats))
+            (out * Tensor(g)).sum().backward()
+            results.append([out.data, stats.mean, stats.var] + [leaf.grad for leaf in leaves])
+        assert (results[0][0] == 0).any() and (results[0][0] > 0).any()
+        for name, want, got in zip(("out", "mean", "var", "x", "gamma", "beta"), *results):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+    def test_fused_relu_keeps_nan(self):
+        x = np.zeros((1, 1, 1, 1, 3))
+        x[..., 1] = np.nan
+        out = batch_norm3d(Tensor(x), Tensor(np.ones(1)), Tensor(np.zeros(1)), BatchNormStats(1, np.float64), relu=True)
+        assert np.isnan(out.data).all()  # a NaN in the batch makes the whole channel NaN, and the clamp keeps it
+
+    def test_gradcheck_fused_relu(self):
+        # float64 central differences away from the kink: each channel is
+        # centred exactly, so its normalized values keep the gap around 0
+        # that away-from-zero samples have, far wider than the step
+        rng = np.random.default_rng(53)
+        shape = (2, 2, 2, 3, 3)
+        x = rng.uniform(0.2, 1.0, shape) * rng.choice([-1.0, 1.0], shape)
+        x -= x.mean(axis=(0, 2, 3, 4), keepdims=True)
+        gamma = rng.uniform(0.5, 1.5, size=(2,))
+        beta = np.zeros(2)
+        w = rng.standard_normal(shape)
+        pre = batch_norm3d(Tensor(x), Tensor(gamma), Tensor(beta), BatchNormStats(2, np.float64))
+        assert np.abs(pre.data).min() > 0.05 and (pre.data < 0).any()
+
+        def build(leaves):
+            xi, gi, bi = leaves
+            return (batch_norm3d(xi, gi, bi, BatchNormStats(2, dtype=np.float64), relu=True) * Tensor(w)).sum()
+
+        oracles.gradcheck(build, [x, gamma, beta], rtol=1e-3, atol=1e-8)
 
 
 class TestChannelOps:

@@ -130,6 +130,15 @@ class TestTrain:
         _, _, meta = load_stage_checkpoint(out)
         assert meta["train"]["next_step"] == 1
 
+    def test_non_finite_weights_exit_4_without_a_checkpoint(self, tmp_path, phantom_dir, capsys):
+        out = tmp_path / "s1.hsck"
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["train", "--data", str(phantom_dir), "--stage", "1", "--out", str(out),
+                       "--set", "train.lr=1e300", "--set", "train.epochs=1", "--set", "train.steps_per_epoch=1"])
+        assert rc == EXIT_NUMERIC
+        assert "non-finite enc.0.conv1.weight after step 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_log_into_a_missing_directory(self, tmp_path, phantom_dir):
         log = tmp_path / "runs" / "s1.jsonl"
         rc = main(["train", "--data", str(phantom_dir), "--stage", "1", "--out", str(tmp_path / "s1.hsck"),

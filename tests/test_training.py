@@ -1,5 +1,6 @@
 """Optimizer, scheduler, checkpoint format, and training-loop tests."""
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -239,6 +240,34 @@ class TestCheckpointFormat:
         with pytest.raises(CkptTruncated):
             load_checkpoint(p)
 
+    def test_bytes_after_the_last_record(self, tmp_path):
+        p = save_checkpoint(tmp_path / "x.hsck", self._arrays(), {"m": 1})
+        p.write_bytes(p.read_bytes() + bytes(4))
+        with pytest.raises(CheckpointError, match="x.hsck: 4 bytes after the last record"):
+            load_checkpoint(p)
+
+    @staticmethod
+    def _records(names):
+        """An HSCK file of one-element float32 records, in the order given."""
+        raw = struct.pack("<4sBI", b"HSCK", 1, len(names))
+        for i, name in enumerate(names):
+            raw += struct.pack("<H", len(name)) + name.encode() + struct.pack("<BBIf", 0, 1, 1, float(i))
+        return raw
+
+    def test_records_out_of_name_order(self, tmp_path):
+        p = tmp_path / "x.hsck"
+        p.write_bytes(self._records(["a", "c", "b"]))
+        with pytest.raises(CheckpointError, match="x.hsck: record 'b' out of name order, after 'c'"):
+            load_checkpoint(p)
+
+    def test_duplicate_record_names(self, tmp_path):
+        p = tmp_path / "x.hsck"
+        p.write_bytes(self._records(["a", "b", "b"]))
+        with pytest.raises(CheckpointError, match="x.hsck: duplicate record 'b'"):
+            load_checkpoint(p)
+        p.write_bytes(self._records(["a", "b"]))
+        assert load_checkpoint(p)[0] == {"a": np.zeros(1, np.float32), "b": np.ones(1, np.float32)}
+
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path, fill_disk):
         path = save_checkpoint(tmp_path / "x.hsck", self._arrays(), {"m": 1})
         before = path.read_bytes()
@@ -333,6 +362,17 @@ class TestTrainStage:
         assert err.value.step == 0
         assert err.value.lr == pytest.approx(cfg.lr)
 
+    def test_non_finite_weights_abort_before_the_checkpoint(self, tmp_path):
+        # a step whose update overflows the weights ends the run before the
+        # epoch-end checkpoint, which would otherwise hold them
+        dataset = phantom_dataset(1)
+        cfg = TrainConfig(epochs=2, steps_per_epoch=1, lr=1e300, checkpoint_path=str(tmp_path / "c.hsck"))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingAbort) as err:
+            train_stage(build_unet(toy_config(), seed=0), dataset, cfg)
+        assert err.value.step == 0 and err.value.array == "enc.0.conv1.weight"
+        assert "non-finite enc.0.conv1.weight after step 0" in str(err.value)
+        assert not (tmp_path / "c.hsck").exists()
+
     def test_resume_matches_straight_run(self, tmp_path):
         dataset = phantom_dataset(2, base_seed=5)
 
@@ -375,6 +415,20 @@ class TestTrainStage:
         arrays, meta = load_checkpoint(tmp_path / "c.hsck")
         save_checkpoint(tmp_path / "c.hsck", arrays, {**meta, "train": ["stage", "1"]})
         with pytest.raises(CheckpointError, match="c.hsck: malformed train metadata: a list, not an object"):
+            resume_stage(tmp_path / "c.hsck", dataset, replace(cfg, epochs=2))
+
+    @pytest.mark.parametrize("next_step", [None, "x", 1.0, True, -1])
+    def test_resume_refuses_a_missing_or_non_integer_next_step(self, tmp_path, next_step):
+        dataset = phantom_dataset(1, base_seed=5)
+        cfg = TrainConfig(epochs=1, steps_per_epoch=1, batch_size=1, seed=21, checkpoint_path=str(tmp_path / "c.hsck"))
+        train_stage(build_unet(toy_config(), seed=21), dataset, cfg)
+        arrays, meta = load_checkpoint(tmp_path / "c.hsck")
+        if next_step is None:
+            del meta["train"]["next_step"]
+        else:
+            meta["train"]["next_step"] = next_step
+        save_checkpoint(tmp_path / "c.hsck", arrays, meta)
+        with pytest.raises(CheckpointError, match=f"c.hsck: train metadata next_step is {next_step!r}"):
             resume_stage(tmp_path / "c.hsck", dataset, replace(cfg, epochs=2))
 
     def test_resume_refuses_a_stage2_checkpoint(self, tmp_path):
