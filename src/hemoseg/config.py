@@ -1,10 +1,10 @@
 """Flat key = value run configuration shared by every command.
 
-File grammar: one ``key = value`` pair per line, ``#`` starts a comment,
-blank lines ignored, later assignments win.  Values are plain strings until
-a config builder parses them; tuples use commas (``model.patch = 8,32,32``)
-and a per-level list of factor triples uses semicolons between triples
-(``model.factors = 1,2,2; 2,2,2; 2,2,2``).
+File grammar (UTF-8 text): one ``key = value`` pair per line, ``#`` starts
+a comment, blank lines ignored, later assignments win.  Values are plain
+strings until a config builder parses them; tuples use commas
+(``model.patch = 8,32,32``) and a per-level list of factor triples uses
+semicolons between triples (``model.factors = 1,2,2; 2,2,2; 2,2,2``).
 
 ``KEYS`` is the one table of recognized keys.  All are optional and the
 defaults reproduce the toy setup.  An unknown key, whether it comes from a
@@ -50,7 +50,6 @@ def _stride(s: str) -> tuple[int, ...]:
 
 
 _NETWORK_KEYS = {
-    "levels": ("levels", int),
     "channels": ("channels_per_level", _values(int)),
     "factors": ("downsample_factors_per_level", _factors),
     "patch": ("input_patch_shape", _values(int)),
@@ -110,7 +109,11 @@ def parse_settings(text: str, source: str = "<string>") -> dict[str, str]:
 
 def load_settings(path) -> dict[str, str]:
     path = Path(path)
-    return parse_settings(path.read_text(), source=str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigFileError(f"{path}: not UTF-8 text: {exc}") from exc
+    return parse_settings(text, source=str(path))
 
 
 def apply_overrides(settings: dict[str, str], overrides) -> dict[str, str]:
@@ -158,7 +161,7 @@ def cascade_config_from(settings: dict[str, str]) -> CascadeConfig:
             base,
             stage1=model_config_from(settings, "model", base.stage1),
             stage2=stage2,
-            stage2_input_shape=tuple(stage2.input_patch_shape),
+            stage2_input_shape=stage2.input_patch_shape,
             **_fields(settings, "cascade"),
         )
     )

@@ -8,6 +8,7 @@ import numpy as np
 
 from .augment import PAD_VALUE, hu_window, lead_padding, pad_to_shape, zscore_normalize
 from .autodiff import ShapeError, Tensor
+from .model import NUM_CLASSES
 from .volumes import SegMask, VolumeImage, resize_trilinear
 
 
@@ -135,7 +136,7 @@ def sliding_window_predict(model, image: VolumeImage, stride=None, info=None) ->
             x = zscore_normalize(padded[region])[None, None]
             yield model(Tensor(x))["final"].data[0]
 
-    probs = recompose_average(patches(), grid, model.config.out_channels)
+    probs = recompose_average(patches(), grid, NUM_CLASSES)
     if not np.isfinite(probs).all():
         raise FloatingPointError("non-finite sliding-window probabilities (NaN voxels in the image, or bad weights)")
     crop = tuple(slice(l, l + n) for l, n in zip(lead, windowed.shape))
@@ -158,9 +159,9 @@ def extract_roi(mask: np.ndarray, margin_fraction) -> RoiBox | None:
     extent = hi - lo
     out_lo, out_hi = [], []
     for ax in range(3):
-        m = margin_fraction[ax] * extent[ax]
-        out_lo.append(max(0, int(np.floor(lo[ax] - m))))
-        out_hi.append(min(mask.shape[ax], int(np.ceil(hi[ax] + m))))
+        m = margin_fraction[ax] * float(extent[ax])  # a huge margin makes inf here, clamped below
+        out_lo.append(int(max(0.0, np.floor(lo[ax] - m))))
+        out_hi.append(int(min(mask.shape[ax], np.ceil(hi[ax] + m))))
     return RoiBox(lo=tuple(out_lo), hi=tuple(out_hi))
 
 
@@ -189,7 +190,7 @@ def cascade_infer(
     if box is None:
         return SegMask(np.zeros(image.shape, dtype=np.uint8), image.spacing_mm), None
     roi = hu_window(VolumeImage(image.voxels[box.slices()], image.spacing_mm)).voxels.astype(np.float64)
-    x = zscore_normalize(resize_trilinear(roi, cascade_cfg.stage2_input_shape))[None, None]
+    x = zscore_normalize(resize_trilinear(roi, stage2.config.input_patch_shape))[None, None]
     fine = stage2(Tensor(x))["final"].data[0]
     fg_back = resize_trilinear(fine[1], box.extents)
     out = np.zeros(image.shape, dtype=np.uint8)

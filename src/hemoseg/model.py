@@ -1,10 +1,12 @@
 """Residual encoder-decoder with a configurable number of levels, for volumetric segmentation.
 
-The network is described by a declarative config: per-level channel widths,
-per-level downsampling factors (applied on entry to each level, so a config
-with L levels contracts the input by the cumulative factor product), and the
-set of decoder stations that carry deep-supervision heads.  Station 0 is the
-input resolution; station L is the bottleneck.
+The network is described by a declarative config: per-level channel widths
+(their count is the level count), per-level downsampling factors (applied on
+entry to each level, so a config with L levels contracts the input by the
+cumulative factor product), and the set of decoder stations that carry
+deep-supervision heads.  Station 0 is the input resolution; station L is the
+bottleneck.  Every network takes one CT intensity channel and gives
+background and lesion probabilities (``IN_CHANNELS``, ``NUM_CLASSES``).
 
 Anisotropic CT volumes keep full slice context in the shallow levels by
 using in-plane-only factors there, e.g. the reference config contracts
@@ -22,6 +24,9 @@ from .autodiff import BN_EPSILON, BatchNormStats, ShapeError, Tensor
 
 _AXIS_NAMES = ("depth", "height", "width")
 
+IN_CHANNELS = 1
+NUM_CLASSES = 2
+
 
 class ConfigError(ValueError):
     """A model config violates its invariants."""
@@ -29,12 +34,9 @@ class ConfigError(ValueError):
 
 @dataclass
 class UNet3DConfig:
-    levels: int
     channels_per_level: tuple[int, ...]
     downsample_factors_per_level: tuple[tuple[int, int, int], ...]
     input_patch_shape: tuple[int, int, int]
-    in_channels: int = 1
-    out_channels: int = 2
     deep_supervision_levels: frozenset[int] = frozenset({0})
 
     def __post_init__(self):
@@ -45,22 +47,19 @@ class UNet3DConfig:
         self.input_patch_shape = tuple(int(s) for s in self.input_patch_shape)
         self.deep_supervision_levels = frozenset(int(l) for l in self.deep_supervision_levels)
 
+    @property
+    def levels(self) -> int:
+        """One level per channel width."""
+        return len(self.channels_per_level)
+
     def validate(self) -> None:
-        if self.levels < 1:
-            raise ConfigError(f"levels must be >= 1, got {self.levels}")
-        if len(self.channels_per_level) != self.levels:
-            raise ConfigError(
-                f"need one channel width per level: got {len(self.channels_per_level)} for {self.levels} levels"
-            )
         if len(self.downsample_factors_per_level) != self.levels:
             raise ConfigError(
-                "need one downsampling factor triple per level: got "
-                f"{len(self.downsample_factors_per_level)} for {self.levels} levels"
+                "need one downsampling factor triple per channel width: got "
+                f"{len(self.downsample_factors_per_level)} for {self.levels} widths"
             )
-        if any(c < 1 for c in self.channels_per_level):
-            raise ConfigError("channel widths must be positive")
-        if self.in_channels < 1 or self.out_channels < 2:
-            raise ConfigError("need in_channels >= 1 and out_channels >= 2")
+        if self.levels < 1 or any(c < 1 for c in self.channels_per_level):
+            raise ConfigError(f"need at least one channel width, all positive, got {self.channels_per_level}")
         for fac in self.downsample_factors_per_level:
             if len(fac) != 3 or any(f < 1 for f in fac):
                 raise ConfigError(f"bad factor triple {fac}")
@@ -99,12 +98,9 @@ class CascadeConfig:
 def fullres_config() -> UNet3DConfig:
     """Reference full-scale config: 16x320x320 patches down to a 4x5x5 bottleneck."""
     return UNet3DConfig(
-        levels=6,
         channels_per_level=(32, 64, 128, 256, 320, 320),
         downsample_factors_per_level=((1, 2, 2),) * 4 + ((2, 2, 2),) * 2,
         input_patch_shape=(16, 320, 320),
-        in_channels=1,
-        out_channels=2,
         deep_supervision_levels=frozenset(range(6)),
     )
 
@@ -112,12 +108,9 @@ def fullres_config() -> UNet3DConfig:
 def toy_config(patch_shape=(8, 32, 32)) -> UNet3DConfig:
     """Small config for tests and desk-scale experiments."""
     return UNet3DConfig(
-        levels=3,
         channels_per_level=(8, 16, 32),
         downsample_factors_per_level=((1, 2, 2), (2, 2, 2), (2, 2, 2)),
         input_patch_shape=tuple(patch_shape),
-        in_channels=1,
-        out_channels=2,
         deep_supervision_levels=frozenset(range(3)),
     )
 
@@ -127,11 +120,8 @@ def toy_cascade_config() -> CascadeConfig:
     depth (16x32x32): lesion boxes on thick-slice volumes span most of the
     slice axis, and squeezing them through a shallower input resamples away
     the very boundaries the refinement stage exists to sharpen."""
-    return CascadeConfig(
-        stage1=toy_config((8, 32, 32)),
-        stage2=toy_config((16, 32, 32)),
-        stage2_input_shape=(16, 32, 32),
-    )
+    stage2 = toy_config((16, 32, 32))
+    return CascadeConfig(stage1=toy_config((8, 32, 32)), stage2=stage2, stage2_input_shape=stage2.input_patch_shape)
 
 
 def shape_trace(config: UNet3DConfig) -> list[tuple[int, int, int]]:
@@ -374,7 +364,7 @@ class UNet3D(_Module):
 
         enc = []
         for i in range(1, L + 1):
-            in_ch = config.in_channels if i == 1 else ch[i - 2]
+            in_ch = IN_CHANNELS if i == 1 else ch[i - 2]
             enc.append(ResidualBlock(in_ch, ch[i - 1], rng, down_factors=facs[i - 1]))
         self.enc = _ModuleList(enc)
 
@@ -390,7 +380,7 @@ class UNet3D(_Module):
         heads = {}
         for r in sorted(config.deep_supervision_levels):
             width = ch[0] if r == 0 else ch[r - 1]
-            heads[r] = Conv3dLayer(width, config.out_channels, 1, rng)
+            heads[r] = Conv3dLayer(width, NUM_CLASSES, 1, rng)
         self.heads = _ModuleList([heads[r] for r in sorted(heads)])
         self._head_levels = tuple(sorted(heads))
 
@@ -468,9 +458,9 @@ class UNet3D(_Module):
         updated the running stats.
         """
         cfg = self.config
-        if x.ndim != 5 or x.shape[1] != cfg.in_channels or x.shape[2:] != cfg.input_patch_shape:
+        if x.ndim != 5 or x.shape[1] != IN_CHANNELS or x.shape[2:] != cfg.input_patch_shape:
             raise ShapeError(
-                f"forward expects [N,{cfg.in_channels},{','.join(map(str, cfg.input_patch_shape))}],"
+                f"forward expects [N,{IN_CHANNELS},{','.join(map(str, cfg.input_patch_shape))}],"
                 f" got {x.shape}"
             )
         train = self.training

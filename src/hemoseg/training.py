@@ -9,12 +9,13 @@ Checkpoint layout (HSCK), all little-endian:
                 dims ndim x u32, raw payload
 
 dtype codes: 0 float32, 1 float64, 2 uint8, 3 int64; saving an array of
-any other dtype raises CkptUnknownDtype, naming the record, before a byte
+any other dtype raises CheckpointError, naming the record, before a byte
 is written.  Records are sorted by name, so identical state always
 serializes to identical bytes; the reader refuses names that are not
-strictly increasing and bytes after the last record.  Run metadata (model
-config, training position) rides along as a JSON blob in the reserved
-"__meta__" record.
+strictly increasing and bytes after the last record.  Run metadata (the
+model config's fields and seed, the training position, and for stage 2 the
+cascade's ROI margin and input shape) rides along as a JSON blob in the
+reserved "__meta__" record.
 
 Every stochastic choice in a run is drawn from a fresh generator seeded by
 (seed, stream, step), never from a long-lived stream.  Resuming from a
@@ -40,7 +41,7 @@ from . import __version__
 from .augment import AugmentPolicy, augment, hu_window, zscore_normalize
 from .inference import RoiBox, extract_roi
 from .losses import deep_supervision_loss
-from .model import CascadeConfig, ConfigError, UNet3D, UNet3DConfig, build_unet
+from .model import IN_CHANNELS, NUM_CLASSES, CascadeConfig, ConfigError, UNet3D, UNet3DConfig, build_unet
 from .optim import AdamW, CosineWarmRestarts
 from .volumes import resize_nearest, resize_trilinear, write_file_atomic
 
@@ -53,22 +54,6 @@ META_KEY = "__meta__"
 
 
 class CheckpointError(Exception):
-    pass
-
-
-class CkptBadMagic(CheckpointError):
-    pass
-
-
-class CkptUnknownVersion(CheckpointError):
-    pass
-
-
-class CkptUnknownDtype(CheckpointError):
-    pass
-
-
-class CkptTruncated(CheckpointError):
     pass
 
 
@@ -145,7 +130,7 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], meta: dict) -> Path:
         arr = np.ascontiguousarray(payload[name])
         code = _DTYPE_CODES.get(arr.dtype)
         if code is None:
-            raise CkptUnknownDtype(f"{path}: record {name!r} has dtype {arr.dtype}, which HSCK does not store")
+            raise CheckpointError(f"{path}: record {name!r} has dtype {arr.dtype}, which HSCK does not store")
         nb = name.encode()
         chunks.append(struct.pack("<H", len(nb)))
         chunks.append(nb)
@@ -166,12 +151,12 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     file."""
     raw = Path(path).read_bytes()
     if len(raw) < _HEAD.size:
-        raise CkptTruncated(f"{path}: shorter than the {_HEAD.size}-byte header")
+        raise CheckpointError(f"{path}: shorter than the {_HEAD.size}-byte header")
     magic, version, count = _HEAD.unpack_from(raw)
     if magic != CKPT_MAGIC:
-        raise CkptBadMagic(f"{path}: bad magic {magic!r}")
+        raise CheckpointError(f"{path}: bad magic {magic!r}")
     if version != CKPT_VERSION:
-        raise CkptUnknownVersion(f"{path}: unsupported version {version}")
+        raise CheckpointError(f"{path}: unsupported version {version}")
     pos = _HEAD.size
     arrays: dict[str, np.ndarray] = {}
     prev = None
@@ -186,7 +171,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
             dims = struct.unpack_from(f"<{ndim}I", raw, pos)
             pos += 4 * ndim
         except struct.error as exc:
-            raise CkptTruncated(f"{path}: record header cut short: {exc}") from exc
+            raise CheckpointError(f"{path}: record header cut short: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise CheckpointError(f"{path}: a record name is not UTF-8: {exc}") from exc
         if name == prev:
@@ -195,11 +180,11 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
             raise CheckpointError(f"{path}: record {name!r} out of name order, after {prev!r}")
         prev = name
         if code not in _CODE_DTYPES:
-            raise CkptUnknownDtype(f"{path}: record {name!r} has unknown dtype code {code}")
+            raise CheckpointError(f"{path}: record {name!r} has unknown dtype code {code}")
         dtype = _CODE_DTYPES[code]
         nbytes = math.prod(dims) * dtype.itemsize  # Python ints: a product of u32 dims cannot wrap
         if pos + nbytes > len(raw):
-            raise CkptTruncated(f"{path}: record {name!r} payload cut short")
+            raise CheckpointError(f"{path}: record {name!r} payload cut short")
         arrays[name] = np.frombuffer(raw[pos : pos + nbytes], dtype=dtype.newbyteorder("<")).reshape(dims).copy()
         pos += nbytes
     if pos != len(raw):
@@ -220,7 +205,17 @@ def config_to_dict(cfg: UNet3DConfig) -> dict:
 
 
 def config_from_dict(d: dict) -> UNet3DConfig:
-    return UNet3DConfig(**d)
+    """The model config a ``config_to_dict`` dict records.  Older files also
+    record ``levels``, ``in_channels`` and ``out_channels``; each one present
+    must equal the value the network fixes, or ValueError names it."""
+    fields = dict(d)
+    recorded = {k: fields.pop(k) for k in ("levels", "in_channels", "out_channels") if k in fields}
+    cfg = UNet3DConfig(**fields)
+    derived = {"levels": cfg.levels, "in_channels": IN_CHANNELS, "out_channels": NUM_CLASSES}
+    for key, value in recorded.items():
+        if value != derived[key]:
+            raise ValueError(f"{key} is {value!r}, but the network has {derived[key]}")
+    return cfg
 
 
 def save_stage_checkpoint(path, model: UNet3D, optimizer: AdamW | None, train_meta: dict) -> Path:
@@ -305,7 +300,7 @@ def stage2_training_box(mask: np.ndarray, margin_fraction, jitter_fraction: floa
 
 def _stage2_batch(prepared, candidates, cascade_cfg, cfg: TrainConfig, step: int):
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2, step]))
-    target = tuple(cascade_cfg.stage2_input_shape)
+    target = cascade_cfg.stage2.input_patch_shape
     xs, ys = [], []
     for _ in range(cfg.batch_size):
         img, msk = prepared[candidates[int(rng.integers(len(candidates)))]]
@@ -397,11 +392,9 @@ def _make_optimizer(model, cfg: TrainConfig) -> AdamW:
     return AdamW(model.named_parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
 
 
-def _train_stage1(model, prepared, cfg: TrainConfig, optimizer=None, start_step=0, extra_meta=None):
+def _train_stage1(model, prepared, cfg: TrainConfig, optimizer=None, start_step=0):
     policy = AugmentPolicy(crop_shape=tuple(model.config.input_patch_shape))
-    history = _run_steps(
-        model, lambda step: _stage1_batch(prepared, cfg, policy, step), cfg, "1", optimizer, start_step, extra_meta
-    )
+    history = _run_steps(model, lambda step: _stage1_batch(prepared, cfg, policy, step), cfg, "1", optimizer, start_step)
     return Path(cfg.checkpoint_path), history
 
 
@@ -453,7 +446,7 @@ def _cascade_meta(cascade_cfg) -> dict:
     return {
         "cascade": {
             "roi_margin_fraction": list(cascade_cfg.roi_margin_fraction),
-            "stage2_input_shape": list(cascade_cfg.stage2_input_shape),
+            "stage2_input_shape": list(cascade_cfg.stage2.input_patch_shape),
         }
     }
 
@@ -533,7 +526,7 @@ def train_cascade(dataset, cascade_cfg, cfg: TrainConfig):
     candidates = _stage2_candidates(prepared)
     cfg1 = replace(cfg, checkpoint_path=str(_derived_path(cfg.checkpoint_path, "stage1")))
     stage1 = build_unet(cascade_cfg.stage1, seed=cfg.seed)
-    p1, _ = _train_stage1(stage1, prepared, cfg1, extra_meta=_cascade_meta(cascade_cfg))
+    p1, _ = _train_stage1(stage1, prepared, cfg1)
     cfg2 = replace(cfg, checkpoint_path=str(_derived_path(cfg.checkpoint_path, "stage2")))
     stage2 = build_unet(cascade_cfg.stage2, seed=cfg.seed + 1)
     p2, _ = _train_stage2(stage2, prepared, candidates, cascade_cfg, cfg2)

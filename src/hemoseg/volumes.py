@@ -29,23 +29,7 @@ DTYPE_MASK = 1
 
 
 class RvolError(Exception):
-    """Base class for RVOL format violations."""
-
-
-class RvolBadMagic(RvolError):
-    pass
-
-
-class RvolUnknownVersion(RvolError):
-    pass
-
-
-class RvolUnknownDtype(RvolError):
-    pass
-
-
-class RvolTruncated(RvolError):
-    pass
+    """An RVOL file that does not parse, or a volume unfit for its use."""
 
 
 @dataclass
@@ -127,23 +111,23 @@ def read_rvol(path):
         raw = fh.read()
     if len(raw) < HEADER.size:
         if raw[:4] != MAGIC:
-            raise RvolBadMagic(f"{path}: not an RVOL file")
-        raise RvolTruncated(f"{path}: header needs {HEADER.size} bytes, file has {len(raw)}")
+            raise RvolError(f"{path}: not an RVOL file")
+        raise RvolError(f"{path}: header needs {HEADER.size} bytes, file has {len(raw)}")
     magic, version, code, d, h, w, sd, sh, sw = HEADER.unpack_from(raw)
     if magic != MAGIC:
-        raise RvolBadMagic(f"{path}: bad magic {magic!r}")
+        raise RvolError(f"{path}: bad magic {magic!r}")
     if version != VERSION:
-        raise RvolUnknownVersion(f"{path}: unsupported version {version}")
+        raise RvolError(f"{path}: unsupported version {version}")
     if code == DTYPE_IMAGE:
         dtype, itemsize = np.dtype("<f4"), 4
     elif code == DTYPE_MASK:
         dtype, itemsize = np.dtype(np.uint8), 1
     else:
-        raise RvolUnknownDtype(f"{path}: unknown dtype code {code}")
+        raise RvolError(f"{path}: unknown dtype code {code}")
     need = d * h * w * itemsize
     body = raw[HEADER.size :]
     if len(body) != need:
-        raise RvolTruncated(f"{path}: payload has {len(body)} bytes, header promises {need}")
+        raise RvolError(f"{path}: payload has {len(body)} bytes, header promises {need}")
     voxels = np.frombuffer(body, dtype=dtype).reshape(d, h, w)
     try:
         if code == DTYPE_IMAGE:

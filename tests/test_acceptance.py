@@ -441,7 +441,6 @@ class _ProbeModel:
 
     def __init__(self, patch_shape, fn):
         self.config = UNet3DConfig(
-            levels=1,
             channels_per_level=(4,),
             downsample_factors_per_level=((1, 1, 1),),
             input_patch_shape=tuple(patch_shape),

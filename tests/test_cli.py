@@ -102,9 +102,27 @@ class TestTrain:
     def test_cascade_writes_both_stages(self, cascade_ckpts):
         p1, p2 = cascade_ckpts
         assert p1.exists() and p2.exists()
-        _, _, meta2 = load_stage_checkpoint(p2)
+        (_, _, meta1), (_, _, meta2) = map(load_stage_checkpoint, cascade_ckpts)
         assert meta2["train"]["stage"] == "2"
         assert "cascade" in meta2["train"]
+        assert "cascade" not in meta1["train"]  # a stage-1 file has one layout, whatever wrote it
+        assert sorted(meta1["model"]["config"]) == [
+            "channels_per_level", "deep_supervision_levels", "downsample_factors_per_level", "input_patch_shape"]
+
+    @pytest.mark.parametrize("net,stage", [("model", "1"), ("stage2", "2")])
+    @pytest.mark.parametrize("key,value,field,recorded", [
+        ("channels", "4,8,12", "channels_per_level", [4, 8, 12]),
+        ("factors", "1,2,2; 1,2,2; 2,2,2", "downsample_factors_per_level", [[1, 2, 2], [1, 2, 2], [2, 2, 2]]),
+        ("deep_supervision", "0,2", "deep_supervision_levels", [0, 2]),
+    ])
+    def test_architecture_key_round_trips(self, tmp_path, phantom_dir, net, stage, key, value, field, recorded):
+        out = tmp_path / "x.hsck"
+        rc = main(["train", "--data", str(phantom_dir), "--stage", stage, "--out", str(out),
+                   "--set", f"{net}.{key}={value}", "--set", "train.epochs=1", "--set", "train.steps_per_epoch=1"])
+        assert rc == EXIT_OK
+        _, _, meta = load_stage_checkpoint(out)
+        assert meta["train"]["stage"] == stage
+        assert meta["model"]["config"][field] == recorded
 
     def test_missing_data_dir(self, tmp_path, capsys):
         rc = main(["train", "--data", str(tmp_path / "nope"), "--stage", "1",
@@ -526,7 +544,8 @@ BAD_INVOCATIONS = [
      EXIT_NUMERIC, "non-finite"),
     *[(f"meta-{name}", ["infer", "--model", f"{{{name}}}", "--input", "{image}", "--output", "{tmp}/o.rvol"],
        EXIT_DATA, f"{name}.hsck: malformed model metadata")
-      for name in ("no_levels", "string_levels", "unknown_key", "string_seed", "list_model")],
+      for name in ("no_levels", "string_levels", "unknown_key", "string_seed", "list_model", "in_channels_2",
+                   "out_channels_3")],
     ("eval-grid-mismatch", ["eval", "--pred", "{tiny}", "--gt", "{data}"], EXIT_DATA, "case 0000: prediction grid"),
     ("compare-tada-grid-mismatch", ["compare-tada", "--pred", "{tiny}", "--gt", "{data}"],
      EXIT_DATA, "case 0000: prediction grid"),
@@ -542,6 +561,10 @@ BAD_INVOCATIONS = [
       for name in ("list_train", "int_stage2_shape")],
     ("removed-out-channels", ["train", "--data", "{data}", "--out", "{tmp}/x.hsck", "--set", "model.out_channels=2"],
      EXIT_USAGE, "model.out_channels"),
+    ("removed-levels", ["train", "--data", "{data}", "--out", "{tmp}/x.hsck", "--set", "model.levels=3"],
+     EXIT_USAGE, "model.levels"),
+    ("config-not-utf8", ["gen-phantoms", "--out", "{tmp}/g", "--count", "1", "--config", "{latin1_cfg}"],
+     EXIT_USAGE, "latin1.cfg: not UTF-8"),
     # non-finite or out-of-range float settings and negative seeds, refused by the owner's validate()
     *[(f"bad-setting-{setting}", ["train", "--data", "{data}", "--stage", "2", "--out", "{tmp}/x.hsck",
                                   "--set", setting], EXIT_USAGE, field)
@@ -588,26 +611,36 @@ def no_foreground_dir(tmp_path_factory):
 @pytest.fixture(scope="session")
 def bad_inputs(tmp_path_factory, cascade_ckpts, phantom_dir):
     """Stage-1 checkpoints with one batch-norm buffer reshaped, with malformed
-    model metadata or with a byte that is not UTF-8 in the metadata or a
+    model metadata (channel counts the network cannot have among them, with
+    weights to match) or with a byte that is not UTF-8 in the metadata or a
     record name, stage-2 checkpoints with malformed train metadata or
     metadata that is not an object, a record too large to exist, an
     all-NaN image, masks on a smaller grid than the phantoms' for every
-    phantom case, and copies of the phantom masks beside each ``BAD_JSON``
-    file."""
+    phantom case, copies of the phantom masks beside each ``BAD_JSON``
+    file, and a config file that is not UTF-8."""
     out = tmp_path_factory.mktemp("cli_bad")
     arrays, meta = load_checkpoint(cascade_ckpts[0])
     for n in (1, 3):
         bad = dict(arrays, **{"dec.0.block.bn1.running_var": np.ones(n, dtype=np.float32)})
         save_checkpoint(out / f"var{n}.hsck", bad, meta)
     metas = {name: json.loads(json.dumps(meta)) for name in
-             ("no_levels", "string_levels", "unknown_key", "string_seed", "list_model")}
-    del metas["no_levels"]["model"]["config"]["levels"]
+             ("no_levels", "string_levels", "unknown_key", "string_seed", "list_model", "in_channels_2",
+              "out_channels_3")}
+    del metas["no_levels"]["model"]["config"]["channels_per_level"]
     metas["string_levels"]["model"]["config"]["levels"] = "3"
+    metas["in_channels_2"]["model"]["config"]["in_channels"] = 2
+    metas["out_channels_3"]["model"]["config"]["out_channels"] = 3
+    # weights that fit each recorded count, so only the count check can refuse the file
+    widened = {
+        "in_channels_2": {k: np.concatenate([arrays[k]] * 2, axis=1)
+                          for k in ("enc.0.conv1.weight", "enc.0.proj.weight")},
+        "out_channels_3": {k: np.concatenate([v, v[:1]]) for k, v in arrays.items() if k.startswith("heads.")},
+    }
     metas["unknown_key"]["model"]["config"]["depth"] = 3
     metas["string_seed"]["model"]["seed"] = "x"
     metas["list_model"]["model"] = []
     for name, bad_meta in metas.items():
-        save_checkpoint(out / f"{name}.hsck", arrays, bad_meta)
+        save_checkpoint(out / f"{name}.hsck", {**arrays, **widened.get(name, {})}, bad_meta)
     arrays2, meta2 = load_checkpoint(cascade_ckpts[1])
     train_metas = {name: json.loads(json.dumps(meta2)) for name in ("list_train", "int_stage2_shape")}
     train_metas["list_train"]["train"] = []
@@ -619,6 +652,7 @@ def bad_inputs(tmp_path_factory, cascade_ckpts, phantom_dir):
     for name, at in (("meta_not_utf8", meta_at + 2), ("name_not_utf8", 11)):  # 11: the first record's name
         (out / f"{name}.hsck").write_bytes(bytes(raw[:at]) + b"\xff" + bytes(raw[at + 1 :]))
     save_checkpoint(out / "meta_number.hsck", arrays2, 5)
+    (out / "latin1.cfg").write_bytes(b"train.lr = \xff\xfe\n")
     # one float32 record "huge" of dims (65536,)*4: the element count wraps to 0 in int64
     (out / "huge_record.hsck").write_bytes(
         struct.pack("<4sBIH", b"HSCK", 1, 1, 4) + b"huge" + struct.pack("<BB4I", 0, 4, *(65536,) * 4)
@@ -634,6 +668,7 @@ def bad_inputs(tmp_path_factory, cascade_ckpts, phantom_dir):
             (out / name / p.name).write_bytes(p.read_bytes())
         (out / name / file).write_text(json.dumps(payload))
     return {"var1": out / "var1.hsck", "var3": out / "var3.hsck", "nan": out / "nan.rvol", "tiny": tiny,
+            "latin1_cfg": out / "latin1.cfg",
             **{name: out / f"{name}.hsck"
                for name in (*metas, *train_metas, "meta_not_utf8", "name_not_utf8", "meta_number", "huge_record")},
             **{name: out / name for name in BAD_JSON}}

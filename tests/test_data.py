@@ -17,10 +17,7 @@ from hemoseg.phantoms import (
 )
 from hemoseg.volumes import (
     HEADER,
-    RvolBadMagic,
-    RvolTruncated,
-    RvolUnknownDtype,
-    RvolUnknownVersion,
+    RvolError,
     SegMask,
     VolumeImage,
     read_rvol,
@@ -76,7 +73,7 @@ class TestRvolFormat:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.rvol"
         path.write_bytes(b"XVOL" + b"\x00" * 60)
-        with pytest.raises(RvolBadMagic):
+        with pytest.raises(RvolError, match="bad magic"):
             read_rvol(path)
 
     def test_truncated_payload(self, rng, tmp_path):
@@ -84,13 +81,13 @@ class TestRvolFormat:
         path = tmp_path / "t.rvol"
         write_rvol(path, img)
         path.write_bytes(path.read_bytes()[:-5])
-        with pytest.raises(RvolTruncated):
+        with pytest.raises(RvolError, match="payload has 27 bytes, header promises 32"):
             read_rvol(path)
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "h.rvol"
         path.write_bytes(b"RVOL\x01")
-        with pytest.raises(RvolTruncated):
+        with pytest.raises(RvolError, match="header needs 42 bytes"):
             read_rvol(path)
 
     def test_unknown_dtype(self, rng, tmp_path):
@@ -100,7 +97,7 @@ class TestRvolFormat:
         raw = bytearray(path.read_bytes())
         raw[5] = 9
         path.write_bytes(bytes(raw))
-        with pytest.raises(RvolUnknownDtype):
+        with pytest.raises(RvolError, match="unknown dtype code 9"):
             read_rvol(path)
 
     def test_unknown_version(self, rng, tmp_path):
@@ -110,7 +107,7 @@ class TestRvolFormat:
         raw = bytearray(path.read_bytes())
         raw[4] = 7
         path.write_bytes(bytes(raw))
-        with pytest.raises(RvolUnknownVersion):
+        with pytest.raises(RvolError, match="unsupported version 7"):
             read_rvol(path)
 
     def test_mask_values_validated(self):

@@ -28,7 +28,6 @@ class FakeStage:
 
     def __init__(self, patch_shape, fg_value=1.0):
         self.config = UNet3DConfig(
-            levels=1,
             channels_per_level=(4,),
             downsample_factors_per_level=((1, 1, 1),),
             input_patch_shape=tuple(patch_shape),
@@ -188,6 +187,13 @@ class TestExtractRoi:
         box = extract_roi(mask, (0.5, 0.5, 0.5))
         assert box.lo == (0, 0, 0) and box.hi == (4, 4, 4)
 
+    def test_huge_finite_margin_is_whole_volume(self):
+        # 1e308 times an extent of 2 or more is inf in float64
+        mask = np.zeros((5, 6, 7), dtype=np.uint8)
+        mask[1:3, 2:4, 3:6] = 1
+        box = extract_roi(mask, (1e308, 1e308, 1e308))
+        assert box.lo == (0, 0, 0) and box.hi == (5, 6, 7)
+
     def test_single_voxel(self):
         # fractional margins round outward: floor on the low side, ceil high
         mask = np.zeros((4, 4, 4), dtype=np.uint8)
@@ -260,7 +266,6 @@ class TestSlidingWindow:
 
 def toy_fake_cascade_cfg(stage2_shape=(8, 32, 32)):
     stage1 = UNet3DConfig(
-        levels=1,
         channels_per_level=(4,),
         downsample_factors_per_level=((1, 1, 1),),
         input_patch_shape=(8, 32, 32),
@@ -268,7 +273,6 @@ def toy_fake_cascade_cfg(stage2_shape=(8, 32, 32)):
     return CascadeConfig(
         stage1=stage1,
         stage2=UNet3DConfig(
-            levels=1,
             channels_per_level=(4,),
             downsample_factors_per_level=((1, 1, 1),),
             input_patch_shape=tuple(stage2_shape),

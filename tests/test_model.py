@@ -25,7 +25,6 @@ from hemoseg.volumes import VolumeImage
 
 def levels1_config():
     return UNet3DConfig(
-        levels=1,
         channels_per_level=(8,),
         downsample_factors_per_level=((1, 1, 1),),
         input_patch_shape=(4, 8, 8),
@@ -51,7 +50,6 @@ class TestShapeTrace:
 
     def test_unit_factors_keep_shape(self):
         cfg = UNet3DConfig(
-            levels=2,
             channels_per_level=(4, 8),
             downsample_factors_per_level=((1, 1, 1), (1, 1, 1)),
             input_patch_shape=(3, 7, 7),
@@ -60,7 +58,6 @@ class TestShapeTrace:
 
     def test_depth_cannot_halve_six_times(self):
         cfg = UNet3DConfig(
-            levels=6,
             channels_per_level=(32, 64, 128, 256, 320, 320),
             downsample_factors_per_level=((2, 2, 2),) * 6,
             input_patch_shape=(16, 320, 320),
@@ -70,7 +67,6 @@ class TestShapeTrace:
 
     def test_error_names_axis_and_level(self):
         cfg = UNet3DConfig(
-            levels=2,
             channels_per_level=(4, 8),
             downsample_factors_per_level=((1, 2, 2), (1, 2, 2)),
             input_patch_shape=(4, 6, 8),
@@ -83,7 +79,7 @@ class TestConfigValidation:
     def test_channel_count_must_match_levels(self):
         cfg = toy_config()
         cfg.channels_per_level = (8, 16)
-        with pytest.raises(ConfigError, match="channel"):
+        with pytest.raises(ConfigError, match="one downsampling factor triple per channel width: got 3 for 2"):
             cfg.validate()
 
     def test_one_factor_triple_per_level(self):
